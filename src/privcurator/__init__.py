@@ -24,7 +24,6 @@ from .curator import (
     NoisyAnswer,
     answer,
     calibrate,
-    charge,
     load_session,
     save_session,
 )
@@ -48,7 +47,6 @@ from .noise import (
     admissible_cdf,
     admissible_pdf,
     admissible_quantile,
-    density_ratio_bound,
     dl_cdf,
     dl_pmf,
     laplace_cdf,
@@ -113,9 +111,7 @@ __all__ = [
     "brute_smooth_sensitivity",
     "build_report",
     "calibrate",
-    "charge",
     "default_profile_grid",
-    "density_ratio_bound",
     "dl_cdf",
     "dl_pmf",
     "evaluate",

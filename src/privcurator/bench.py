@@ -16,8 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from .curator import BudgetLedger, MechanismConfig, answer
-from .dataset import SYNTH_DISTRIBUTIONS, Dataset, synthesize
-from .errors import PreconditionError
+from .dataset import SYNTH_DISTRIBUTIONS, Dataset, DomainBounds, synthesize
+from .errors import BudgetExceededError, PreconditionError
 from .noise import (
     AdmissibleNoiseParams,
     LaplaceParams,
@@ -213,10 +213,14 @@ def run_verification() -> list[dict]:
     Returns one row per check: {"check", "passed", "detail"}. A passing
     battery means the shipped sensitivities match brute-force enumeration and
     the shipped mechanisms respect their claimed output-ratio bounds,
-    including the documented group-leakage counterexample for idp_local.
+    including the documented group-leakage counterexample for idp_local,
+    and that the ledger and the published answer fields hold what they claim.
     """
     rows = _verify_closed_forms()
     rows.extend(_verify_ratio_bounds())
+    rows.extend(_verify_histogram_ratio_bounds())
+    rows.append(_verify_histogram_budget())
+    rows.append(_verify_smooth_fields())
     return rows
 
 
@@ -226,6 +230,7 @@ def _oracle_queries() -> tuple[QuerySpec, ...]:
         QuerySpec.maximum(),
         QuerySpec.second_maximum(),
         QuerySpec.range_count(0.5, 1.0),
+        QuerySpec.histogram([0.0, 0.5, 1.0]),
     )
 
 
@@ -281,6 +286,51 @@ def _verify_ratio_bounds() -> list[dict]:
         "detail": f"{len(failures)}/{len(datasets)} datasets exceed exp(eps), as expected",
     })
     return rows
+
+
+def _verify_histogram_ratio_bounds() -> list[dict]:
+    # one modified record can leave one bin and enter the other
+    grid = GridDomain((0.0, 0.5, 1.0), 3)
+    datasets = [Dataset(np.asarray(v), grid.bounds()) for v in grid.datasets()]
+    q = QuerySpec.histogram([0.0, 0.5, 1.0])
+    idp_dl = MechanismConfig("idp_local", 0.5, noise_family="discrete_laplace")
+    gdp = MechanismConfig("gdp", 0.5, group_size=2)
+    cases = (("dp_global laplace", MechanismConfig("dp_global", 0.5), 1),
+             ("idp_local discrete-laplace", idp_dl, 1), ("gdp g=2", gdp, 1), ("gdp g=2", gdp, 2))
+    return [_ratio_row(f"{name} ratio at distance {dist} ({q.to_string()})",
+                       [verify_ratio_bound(d, q, cfg, grid, dist) for d in datasets])
+            for name, cfg, dist in cases]
+
+
+def _verify_histogram_budget(k: int = 10, eps: float = 0.5) -> dict:
+    d = Dataset(np.linspace(0.0, 1.0, 5), DomainBounds(0.0, 1.0))
+    ledger = BudgetLedger(eps)
+    released = 0
+    for bins in range(1, k + 1):
+        try:
+            answer(d, QuerySpec.histogram(np.linspace(0.0, 1.0, bins + 1)),
+                   MechanismConfig("dp_global", eps), RandomSource(0), ledger)
+            released += 1
+        except BudgetExceededError:
+            pass
+    return {
+        "check": f"{k} histograms with different edges at eps {eps} against budget {eps}",
+        "passed": released == 1,
+        "detail": f"{released} released (must be 1), spent {ledger.spent()}",
+    }
+
+
+def _verify_smooth_fields() -> dict:
+    # sensitivity_used and noise_scale are both functions of the secret S(D)
+    d = Dataset(np.array([0.0, 0.0, 0.0, 0.0, 1.0]), DomainBounds(0.0, 1.0))
+    cfg = MechanismConfig("dp_smooth", 1.0, gamma=3.0)
+    doc = answer(d, QuerySpec.median(), cfg, RandomSource(0), BudgetLedger(math.inf)).to_json_dict()
+    leaked = sorted({"sensitivity_used", "noise_scale"} & doc.keys())
+    return {
+        "check": "dp_smooth answer publishes no field derived from S(D)",
+        "passed": not leaked,
+        "detail": f"published fields {sorted(doc)}",
+    }
 
 
 def _ratio_row(name: str, reports) -> dict:

@@ -55,8 +55,6 @@ from .sensitivity import (
 REGIMES = ("dp_global", "dp_smooth", "idp_local", "gdp")
 NOISE_FAMILIES = ("laplace", "discrete_laplace")
 
-WHOLE = "whole"
-
 
 @dataclass(frozen=True)
 class MechanismConfig:
@@ -109,7 +107,9 @@ class NoisyAnswer:
 
     noise_scale is the Laplace b or the admissible-noise scale; when the
     noise family is discrete_laplace it records alpha = exp(-eps/sensitivity)
-    instead. Exact releases (zero sensitivity) record noise_scale 0.
+    instead. Exact releases (zero sensitivity) record noise_scale 0. For a
+    histogram sensitivity_used is the L1 sensitivity of the whole vector. For
+    dp_smooth both fields reveal the secret S(D), so the JSON form omits them.
     """
 
     value: float | int | list
@@ -121,8 +121,9 @@ class NoisyAnswer:
     def to_json_dict(self) -> dict:
         out = {"value": self.value, "query": self.query.to_string()}
         out.update(self.mechanism.to_json_dict())
-        out["sensitivity_used"] = self.sensitivity_used
-        out["noise_scale"] = self.noise_scale
+        if self.mechanism.regime != "dp_smooth":
+            out["sensitivity_used"] = self.sensitivity_used
+            out["noise_scale"] = self.noise_scale
         return out
 
 
@@ -135,16 +136,14 @@ class NoisyAnswer:
 class LedgerEntry:
     query: str
     epsilon: float
-    partition: str = WHOLE
 
 
 class BudgetLedger:
-    """Session record of spent epsilon with composition-aware accounting.
+    """Session record of spent epsilon under sequential composition.
 
-    Entries on the "whole" partition compose sequentially (their epsilons
-    sum). Entries on named partition tags are disjoint by declaration: within
-    one tag epsilons sum, across distinct tags only the largest per-tag sum
-    counts. Spent budget is the whole-partition sum plus that max.
+    Every release is one entry and spent budget is the sum of all entries'
+    epsilons. Nothing composes in parallel: under the modify-one-record
+    neighbor relation a split of the data chosen per query does not qualify.
 
     charge is check-then-append under a lock, so concurrent sessions can
     share a ledger; a rejected charge leaves the ledger unchanged.
@@ -154,10 +153,8 @@ class BudgetLedger:
         if math.isnan(total_budget) or total_budget < 0:
             raise PreconditionError(f"total budget must be >= 0, got {total_budget}")
         self.total_budget = float(total_budget)
-        self._entries: list[LedgerEntry] = []
         self._lock = threading.Lock()
-        for e in entries:
-            self._entries.append(LedgerEntry(str(e.query), float(e.epsilon), str(e.partition)))
+        self._entries = [LedgerEntry(str(e.query), float(e.epsilon)) for e in entries]
         if self.spent() > self.total_budget:
             raise BudgetExceededError(
                 f"entries already spend {self.spent()}, over the budget {self.total_budget}"
@@ -173,8 +170,8 @@ class BudgetLedger:
     def remaining(self) -> float:
         return self.total_budget - self.spent()
 
-    def charge(self, epsilon: float, partition: str = WHOLE, query: str = "") -> "BudgetLedger":
-        return self.charge_many([LedgerEntry(query, epsilon, partition)])
+    def charge(self, epsilon: float, query: str = "") -> "BudgetLedger":
+        return self.charge_many([LedgerEntry(query, epsilon)])
 
     def charge_many(self, new_entries: list[LedgerEntry]) -> "BudgetLedger":
         """Atomically append all entries or none."""
@@ -204,28 +201,14 @@ class BudgetLedger:
 
 
 def _spent(entries) -> float:
-    whole = math.fsum(e.epsilon for e in entries if e.partition == WHOLE)
-    per_tag: dict[str, list[float]] = {}
-    for e in entries:
-        if e.partition != WHOLE:
-            per_tag.setdefault(e.partition, []).append(e.epsilon)
-    parallel = max((math.fsum(eps) for eps in per_tag.values()), default=0.0)
-    return whole + parallel
-
-
-def charge(ledger: BudgetLedger, eps: float, partition: str = WHOLE) -> BudgetLedger:
-    """Append a manual charge; returns the (mutated) ledger for chaining."""
-    return ledger.charge(eps, partition)
+    return math.fsum(e.epsilon for e in entries)
 
 
 def save_session(ledger: BudgetLedger, path: str | Path) -> None:
     doc = {
         "version": 1,
         "total_budget": ledger.total_budget,
-        "entries": [
-            {"query": e.query, "epsilon": e.epsilon, "partition": e.partition}
-            for e in ledger.entries
-        ],
+        "entries": [{"query": e.query, "epsilon": e.epsilon} for e in ledger.entries],
     }
     Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
@@ -239,10 +222,8 @@ def load_session(path: str | Path) -> BudgetLedger:
         raise SessionError(f"{path}: unsupported session version {doc.get('version')!r}")
     try:
         total = float(doc["total_budget"])
-        entries = [
-            LedgerEntry(str(e["query"]), float(e["epsilon"]), str(e["partition"]))
-            for e in doc.get("entries", [])
-        ]
+        entries = [LedgerEntry(str(e["query"]), float(e["epsilon"]))
+                   for e in doc.get("entries", [])]
     except (KeyError, TypeError, ValueError) as exc:
         raise SessionError(f"{path}: malformed session document: {exc}") from exc
     try:
@@ -269,7 +250,6 @@ class Calibration:
     family: str
     sensitivity_used: float
     param: float
-    components: int
     gamma: float | None = None
 
 
@@ -308,16 +288,15 @@ def calibrate(d: Dataset, q: QuerySpec, cfg: MechanismConfig) -> Calibration:
             f"discrete_laplace masks integer-valued queries only, not {q.to_string()}"
         )
 
-    components = q.n_bins if q.vector_valued else 1
     if sens == 0.0:
-        return Calibration(value, "exact", 0.0, 0.0, components)
+        return Calibration(value, "exact", 0.0, 0.0)
     if family == "laplace":
         param = sens / eps
     elif family == "discrete_laplace":
         param = math.exp(-eps / sens)
     else:
         param = 4.0 * cfg.gamma * sens / eps
-    return Calibration(value, family, sens, param, components, cfg.gamma)
+    return Calibration(value, family, sens, param, cfg.gamma)
 
 
 def answer(
@@ -332,17 +311,11 @@ def answer(
     The ledger is charged only after the calibration succeeds, and sampling
     happens only after the charge is accepted, so a rejected budget or an
     infinite sensitivity leaves both the ledger and the noise stream intact.
-    Histogram answers charge epsilon once across bins (disjoint partitions)
-    by appending one tagged entry per bin.
+    Every answer, a histogram included, is one release and one ledger entry
+    of epsilon.
     """
     cal = calibrate(d, q, cfg)
-
-    qstr = q.to_string()
-    if q.vector_valued:
-        tags = [f"{qstr}#bin{i}" for i in range(cal.components)]
-    else:
-        tags = [WHOLE]
-    ledger.charge_many([LedgerEntry(qstr, cfg.epsilon, tag) for tag in tags])
+    ledger.charge(cfg.epsilon, q.to_string())
 
     value = _sample_value(cal, rng)
     return NoisyAnswer(
@@ -357,11 +330,9 @@ def answer(
 def _sample_value(cal: Calibration, rng: RandomSource):
     vector = isinstance(cal.value, np.ndarray)
     if cal.family == "exact":
-        if vector:
-            return [int(x) for x in np.asarray(cal.value, dtype=np.int64)]
-        return cal.value
+        return cal.value.tolist() if vector else cal.value
 
-    size = cal.components if vector else None
+    size = cal.value.size if vector else None
     if cal.family == "laplace":
         noise = sample_laplace(LaplaceParams(0.0, cal.param), rng, size)
     elif cal.family == "discrete_laplace":
@@ -369,12 +340,7 @@ def _sample_value(cal: Calibration, rng: RandomSource):
     else:
         noise = sample_admissible(AdmissibleNoiseParams(cal.gamma, cal.param), rng, size)
 
-    if not vector:
-        noisy = cal.value + noise
-        if isinstance(noise, int):
-            return int(noisy)
-        return float(noisy)
-    noisy = np.asarray(cal.value) + noise
-    if cal.family == "discrete_laplace":
-        return [int(x) for x in np.asarray(noisy, dtype=np.int64)]
-    return [float(x) for x in noisy]
+    noisy = cal.value + noise
+    if vector:
+        return noisy.tolist()  # int64 counts stay ints under discrete noise
+    return int(noisy) if isinstance(noise, int) else float(noisy)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate, interpolate
 
-from .errors import ConfigError, PreconditionError
+from .errors import PreconditionError
 
 _TWO53 = float(1 << 53)
 
@@ -299,23 +299,3 @@ def sample_admissible(p: AdmissibleNoiseParams, rng: RandomSource, size: int | N
     u = rng.uniforms(size)
     draw = p.scale * admissible_quantile(u, p.gamma)
     return float(draw) if size is None else draw
-
-
-# ---------------------------------------------------------------------------
-# worst-case density ratios
-# ---------------------------------------------------------------------------
-
-
-def density_ratio_bound(p: LaplaceParams | DiscreteLaplaceParams, shift: float) -> float:
-    """Tight sup over outputs of the density/pmf ratio under a location shift.
-
-    exp(shift/b) for Laplace, alpha^(-shift) for discrete Laplace. This is the
-    quantity the indistinguishability bounds cap at exp(eps).
-    """
-    if shift < 0:
-        raise PreconditionError(f"shift must be non-negative, got {shift}")
-    if isinstance(p, LaplaceParams):
-        return math.exp(shift / p.scale)
-    if isinstance(p, DiscreteLaplaceParams):
-        return p.alpha ** (-shift)
-    raise ConfigError("ratio bound is defined for laplace and discrete_laplace only")

@@ -5,8 +5,10 @@ domain edges. Order statistics referenced outside 1..n are clamped to the
 domain: x~_i = min(Dom) for i < 1 and x~_i = max(Dom) for i > n. The brute
 force oracle validates this convention; it is not assumed.
 
-Counting queries (range count, histogram) have constant sensitivity 1 under
-the modify-one-record neighbor relation, reported per bin for histograms.
+Counting queries have constant L1 sensitivity min(2, n_bins) under the
+modify-one-record neighbor relation, where a range count has one bin. A
+histogram is one vector release: moving one record can take 1 from one bin
+and add 1 to another.
 """
 
 from __future__ import annotations
@@ -66,12 +68,6 @@ class GroupSensitivity:
     def g(self) -> int:
         return len(self.per_distance)
 
-    def entry(self, i: int) -> float:
-        """Distance-i bound, 1-based; entry(1) equals the local sensitivity."""
-        if not 1 <= i <= self.g:
-            raise PreconditionError(f"distance {i} outside 1..{self.g}")
-        return self.per_distance[i - 1]
-
 
 # ---------------------------------------------------------------------------
 # clamped order statistics
@@ -99,12 +95,12 @@ def global_sensitivity(q: QuerySpec, bounds: DomainBounds, n: int) -> float:
 
     For the order-statistic queries this is the domain length, so it is
     infinite whenever a needed side of the domain is unbounded. Counting
-    queries are 1 regardless of the domain.
+    queries have the same constant sensitivity regardless of the domain.
     """
     if n < 1:
         raise PreconditionError("n must be at least 1")
     if q.kind in (RANGE_COUNT, HISTOGRAM):
-        return 1.0
+        return float(min(2, q.n_bins))
     return bounds.span
 
 
@@ -132,7 +128,7 @@ def local_sensitivity(d: Dataset, q: QuerySpec) -> float:
             raise PreconditionError(f"second_maximum local sensitivity needs n >= 3, got {n}")
         # depends only on the gaps between the top three values, never on the domain
         return float(max(v[-1] - v[-2], v[-2] - v[-3]))
-    return 1.0
+    return float(min(2, q.n_bins))
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +146,7 @@ def smooth_sensitivity(d: Dataset, q: QuerySpec, beta: float) -> float:
     if not beta > 0:
         raise PreconditionError(f"beta must be positive, got {beta}")
     if q.kind in (RANGE_COUNT, HISTOGRAM):
-        return 1.0  # constant local sensitivity smooths to itself
+        return float(min(2, q.n_bins))  # constant local sensitivity smooths to itself
     if not d.bounds.is_bounded:
         return math.inf
     v = d.values
@@ -269,7 +265,7 @@ def group_local_sensitivity(d: Dataset, q: QuerySpec, g: int) -> GroupSensitivit
     else:
         counts = evaluate(d, q)
         worst = int(max(max(int(c), n - int(c)) for c in counts))
-        entries = [float(min(i, worst)) for i in range(1, g + 1)]
+        entries = [min(2, q.n_bins) * min(i, worst) for i in range(1, g + 1)]
 
     return GroupSensitivity(tuple(entries))
 

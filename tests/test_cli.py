@@ -70,6 +70,7 @@ def test_answer_smooth_regime_defaults_gamma(data_csv, tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["regime"] == "dp_smooth"
     assert doc["gamma"] == 3.0
+    assert "sensitivity_used" not in doc and "noise_scale" not in doc
 
 
 def test_answer_discrete_count_value_is_integer(data_csv, tmp_path, capsys):
@@ -142,5 +143,5 @@ def test_bench_verify_battery(capsys):
     rc = main(["bench", "--verify"])
     assert rc == 0
     out = capsys.readouterr().out
-    assert out.count("[ok]") == 9
+    assert out.count("[ok]") == 16
     assert "FAIL" not in out

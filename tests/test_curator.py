@@ -22,7 +22,6 @@ from privcurator import (
     SessionError,
     answer,
     calibrate,
-    charge,
     load_session,
     save_session,
 )
@@ -181,16 +180,33 @@ def test_answer_discrete_count_is_integer():
     assert isinstance(out.value, int)
 
 
-def test_answer_histogram_charges_disjoint_tags():
+def test_answer_histogram_is_one_charge():
     d = _d([0.1, 0.2, 0.6, 0.7, 0.9])
     q = QuerySpec.histogram([0.0, 0.5, 1.0])
     ledger = BudgetLedger(2.0)
     out = answer(d, q, MechanismConfig("dp_global", 0.75), RandomSource(1), ledger)
     assert isinstance(out.value, list) and len(out.value) == 2
-    assert len(ledger.entries) == 2
-    assert {e.partition for e in ledger.entries} == {f"{q.to_string()}#bin{i}" for i in range(2)}
-    # disjoint bins count once, not per bin
-    assert ledger.spent() == pytest.approx(0.75)
+    assert ledger.entries == (LedgerEntry(q.to_string(), 0.75),)
+    assert ledger.spent() == 0.75
+    # one vector release: every bin gets noise for L1 sensitivity 2
+    assert out.sensitivity_used == 2.0
+    assert out.noise_scale == pytest.approx(2.0 / 0.75)
+
+
+def test_answer_histograms_with_different_edges_share_the_budget():
+    # Ten histograms with different edges at eps 1 once all fit a budget of
+    # 1.0, each priced as a disjoint split of the data. Under modify-one
+    # neighbors that split gives no parallel composition, so each one counts.
+    d = _d([0.1, 0.2, 0.6, 0.7, 0.9])
+    ledger = BudgetLedger(1.0)
+    cfg = MechanismConfig("dp_global", 1.0)
+    answer(d, QuerySpec.histogram(np.linspace(0.0, 1.0, 2)), cfg, RandomSource(0), ledger)
+    for bins in range(2, 11):
+        with pytest.raises(BudgetExceededError):
+            answer(d, QuerySpec.histogram(np.linspace(0.0, 1.0, bins + 1)), cfg,
+                   RandomSource(0), ledger)
+    assert len(ledger.entries) == 1
+    assert ledger.spent() == 1.0
 
 
 def test_answer_failure_leaves_ledger_untouched():
@@ -225,6 +241,22 @@ def test_answer_json_shape():
     assert out.to_json_dict()["noise"] == "laplace"
 
 
+def test_answer_json_hides_smooth_sensitivity():
+    # sensitivity_used is S(D) and noise_scale is 4*gamma*S(D)/eps: publishing
+    # either lets a reader recover the data-dependent S(D)
+    d = _d([0.0, 0.0, 0.0, 0.0, 1.0])
+    out = answer(d, QuerySpec.median(), MechanismConfig("dp_smooth", 1.0, gamma=3.0),
+                 RandomSource(5), _free_ledger())
+    doc = out.to_json_dict()
+    assert "sensitivity_used" not in doc
+    assert "noise_scale" not in doc
+    assert out.sensitivity_used == pytest.approx(math.exp(-1.0 / 3.0))  # kept in memory
+
+    out = answer(d, QuerySpec.median(), MechanismConfig("idp_local", 1.0), RandomSource(5),
+                 _free_ledger())
+    assert out.to_json_dict()["sensitivity_used"] == 0.0
+
+
 # ---------------------------------------------------------------------------
 # ledger accounting
 # ---------------------------------------------------------------------------
@@ -235,17 +267,6 @@ def test_ledger_sequential_charges_sum():
     ledger.charge(0.25).charge(0.25)
     assert ledger.spent() == pytest.approx(0.5)
     assert ledger.remaining() == pytest.approx(0.5)
-
-
-def test_ledger_disjoint_tags_take_the_max():
-    ledger = BudgetLedger(10.0)
-    ledger.charge(0.3, partition="a")
-    ledger.charge(0.5, partition="b")
-    assert ledger.spent() == pytest.approx(0.5)
-    ledger.charge(0.4, partition="a")  # same tag composes sequentially
-    assert ledger.spent() == pytest.approx(0.7)
-    ledger.charge(0.2)  # whole-dataset charge adds on top
-    assert ledger.spent() == pytest.approx(0.9)
 
 
 def test_ledger_boundary_charge_is_accepted():
@@ -278,11 +299,6 @@ def test_ledger_rejects_bad_epsilon_and_budget():
         BudgetLedger(0.5, [LedgerEntry("q", 0.6)])
 
 
-def test_ledger_charge_helper_chains():
-    ledger = charge(charge(BudgetLedger(1.0), 0.25), 0.25, partition="t")
-    assert ledger.spent() == pytest.approx(0.5)
-
-
 def test_ledger_concurrent_charges_never_overspend():
     ledger = BudgetLedger(10.0)
     accepted = []
@@ -305,29 +321,19 @@ def test_ledger_concurrent_charges_never_overspend():
 
 
 def test_ledger_spent_model_randomized():
-    # mirror the accounting with a plain dict and compare after every charge
+    # mirror the accounting with a plain list and compare after every charge
     rng = np.random.default_rng(11)
     for _ in range(50):
         ledger = BudgetLedger(5.0)
-        whole = []
-        tags = {}
+        accepted = []
         for _ in range(40):
             eps = float(rng.uniform(0.01, 0.8))
-            tag = str(rng.choice(["whole", "a", "b", "c"]))
             try:
-                if tag == "whole":
-                    ledger.charge(eps)
-                else:
-                    ledger.charge(eps, partition=tag)
-                if tag == "whole":
-                    whole.append(eps)
-                else:
-                    tags.setdefault(tag, []).append(eps)
+                ledger.charge(eps)
+                accepted.append(eps)
             except BudgetExceededError:
                 pass
-            expect = math.fsum(whole) + max(
-                (math.fsum(v) for v in tags.values()), default=0.0)
-            assert ledger.spent() == pytest.approx(expect, abs=1e-12)
+            assert ledger.spent() == pytest.approx(math.fsum(accepted), abs=1e-12)
             assert ledger.spent() <= 5.0
 
 
@@ -340,11 +346,41 @@ def test_session_round_trip(tmp_path):
     path = tmp_path / "session.json"
     ledger = BudgetLedger(2.0)
     ledger.charge(0.5, query="median")
-    ledger.charge(0.25, partition="hist:0,1#bin0", query="hist:0,1")
+    ledger.charge(0.25, query="hist:0,1")
     save_session(ledger, path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    assert doc["entries"][1] == {"query": "hist:0,1", "epsilon": 0.25}
     loaded = load_session(path)
     assert loaded == ledger
     assert loaded.spent() == pytest.approx(0.75)
+
+
+def test_session_with_old_tagged_entries_counts_every_entry(tmp_path):
+    # Older files carry a per-entry tag, and histogram bins shared one charge
+    # through it. Every entry now counts in full, which is never less than
+    # before, so a file that then exceeds its budget is refused.
+    def entry(tag, eps=0.5):
+        return {"query": "hist:0,0.5,1", "epsilon": eps, "partition": tag}
+
+    fits = tmp_path / "fits.json"
+    fits.write_text(json.dumps({
+        "version": 1,
+        "total_budget": 2.0,
+        "entries": [entry("whole"), entry("hist:0,0.5,1#bin0", 0.25)],
+    }), encoding="utf-8")
+    ledger = load_session(fits)
+    assert ledger.spent() == 0.75
+    save_session(ledger, fits)
+    assert "partition" not in fits.read_text(encoding="utf-8")
+
+    over = tmp_path / "over.json"
+    over.write_text(json.dumps({
+        "version": 1,
+        "total_budget": 0.5,
+        "entries": [entry("hist:0,0.5,1#bin0"), entry("hist:0,0.5,1#bin1")],
+    }), encoding="utf-8")
+    with pytest.raises(SessionError, match="budget"):
+        load_session(over)
 
 
 def test_session_round_trip_infinite_budget(tmp_path):
@@ -374,7 +410,7 @@ def test_session_error_paths(tmp_path):
     overspent.write_text(json.dumps({
         "version": 1,
         "total_budget": 0.1,
-        "entries": [{"query": "q", "epsilon": 0.5, "partition": "whole"}],
+        "entries": [{"query": "q", "epsilon": 0.5}],
     }), encoding="utf-8")
     with pytest.raises(SessionError, match="budget"):
         load_session(overspent)

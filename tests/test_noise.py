@@ -7,7 +7,6 @@ import pytest
 
 from privcurator import (
     AdmissibleNoiseParams,
-    ConfigError,
     DiscreteLaplaceParams,
     LaplaceParams,
     PreconditionError,
@@ -15,7 +14,6 @@ from privcurator import (
     admissible_cdf,
     admissible_pdf,
     admissible_quantile,
-    density_ratio_bound,
     dl_cdf,
     dl_pmf,
     laplace_cdf,
@@ -144,12 +142,3 @@ def test_admissible_sampler_scale():
     assert np.mean(np.abs(draws)) == pytest.approx(12.0, rel=0.05)
     assert isinstance(sample_admissible(p, RandomSource(9)), float)
 
-
-def test_density_ratio_bound():
-    assert density_ratio_bound(LaplaceParams(0.0, 2.0), 1.0) == pytest.approx(math.exp(0.5))
-    assert density_ratio_bound(DiscreteLaplaceParams(0.5), 2.0) == pytest.approx(4.0)
-    assert density_ratio_bound(LaplaceParams(0.0, 1.0), 0.0) == 1.0
-    with pytest.raises(PreconditionError):
-        density_ratio_bound(LaplaceParams(0.0, 1.0), -1.0)
-    with pytest.raises(ConfigError):
-        density_ratio_bound(AdmissibleNoiseParams(2.0, 1.0), 1.0)

@@ -121,6 +121,30 @@ def test_idp_discrete_count_sits_on_the_bound():
     assert report.worst_dataset is not None
 
 
+def test_histogram_ratio_bound_in_every_regime():
+    # One modified record can leave one bin and enter another, so per-bin
+    # noise sized for sensitivity 1 showed ratio exp(2 eps) against exp(eps).
+    # Edge sets include one bin and bins that leave grid values uncovered.
+    laplace_cfgs = (
+        MechanismConfig("dp_global", 0.5),
+        MechanismConfig("idp_local", 0.5),
+        MechanismConfig("gdp", 0.5, group_size=3),
+    )
+    cfgs = laplace_cfgs + tuple(
+        MechanismConfig(c.regime, 0.5, noise_family="discrete_laplace", group_size=c.group_size)
+        for c in laplace_cfgs
+    )
+    edge_sets = ([0.0, 0.5, 1.0], [0.0, 1.0], [0.0, 0.25, 0.75], [0.25, 0.5, 0.75, 1.0])
+    for grid in (GridDomain((0.0, 1.0), 3), GridDomain((0.0, 0.5, 1.0), 3)):
+        for values in grid.datasets():
+            d = _on_grid(values, grid)
+            for edges in edge_sets:
+                for cfg in cfgs:
+                    for dist in range(1, 4 if cfg.regime == "gdp" else 2):
+                        report = verify_ratio_bound(d, QuerySpec.histogram(edges), cfg, grid, dist)
+                        assert report.passed, (values, edges, cfg, dist)
+
+
 def test_idp_exact_release_leaks_beyond_distance_one():
     # LS = 0 makes the release exact; two modifications move the median,
     # so the distance-2 ratio is infinite and the check must say so

@@ -29,7 +29,10 @@ def test_global_sensitivity_values():
     assert global_sensitivity(QuerySpec.maximum(), DomainBounds(-3, 7), 5) == 10.0
     assert global_sensitivity(QuerySpec.median(), DomainBounds(), 5) == math.inf
     assert global_sensitivity(QuerySpec.range_count(0, 1), DomainBounds(), 5) == 1.0
-    assert global_sensitivity(QuerySpec.histogram([0, 1, 2]), DomainBounds(), 5) == 1.0
+    # one moved record leaves one bin and enters another: L1 change 2
+    assert global_sensitivity(QuerySpec.histogram([0, 1, 2]), DomainBounds(), 5) == 2.0
+    assert global_sensitivity(QuerySpec.histogram([0, 1, 2, 3]), DomainBounds(), 5) == 2.0
+    assert global_sensitivity(QuerySpec.histogram([0, 1]), DomainBounds(), 5) == 1.0
     with pytest.raises(PreconditionError):
         global_sensitivity(QuerySpec.median(), B01, 0)
 
@@ -66,10 +69,19 @@ def test_local_sensitivity_second_maximum():
 
 
 def test_counting_sensitivities_are_one():
+    # a range count and a one-bin histogram change by at most 1 per record
     d = _d([0.1, 0.4, 0.5, 0.8, 0.9], DomainBounds())
-    for q in (QuerySpec.range_count(0, 0.5), QuerySpec.histogram([0, 0.5, 1])):
+    for q in (QuerySpec.range_count(0, 0.5), QuerySpec.histogram([0, 1])):
         assert local_sensitivity(d, q) == 1.0
         assert smooth_sensitivity(d, q, 0.2) == 1.0
+
+
+def test_histogram_l1_sensitivity_is_two():
+    d = _d([0.1, 0.4, 0.5, 0.8, 0.9], DomainBounds())
+    for edges in ([0, 0.5, 1], [0, 0.25, 0.5, 0.75, 1]):
+        q = QuerySpec.histogram(edges)
+        assert local_sensitivity(d, q) == 2.0
+        assert smooth_sensitivity(d, q, 0.2) == 2.0
 
 
 def test_smooth_sensitivity_basics():
@@ -102,9 +114,7 @@ def test_group_ladder_worked_values():
     lad = group_local_sensitivity(d, QuerySpec.median(), 3)
     assert lad.g == 3
     assert lad.per_distance == pytest.approx((0.14, 0.27, 0.42))
-    assert lad.entry(1) == pytest.approx(local_sensitivity(d, QuerySpec.median()))
-    with pytest.raises(PreconditionError):
-        lad.entry(4)
+    assert lad.per_distance[0] == pytest.approx(local_sensitivity(d, QuerySpec.median()))
     with pytest.raises(PreconditionError):
         group_local_sensitivity(d, QuerySpec.median(), 0)
 
@@ -114,8 +124,9 @@ def test_group_ladder_counts_saturate():
     lad = group_local_sensitivity(d, QuerySpec.range_count(0.5, 1.0), 5)
     # count is 3 of 5, so at most max(3, 2) = 3 records can change the answer
     assert lad.per_distance == (1.0, 2.0, 3.0, 3.0, 3.0)
+    # each moved record changes the bin counts by up to 2 in L1
     hist = group_local_sensitivity(d, QuerySpec.histogram([0, 0.5, 1]), 4)
-    assert hist.per_distance == (1.0, 2.0, 3.0, 3.0)
+    assert hist.per_distance == (2.0, 4.0, 6.0, 6.0)
 
 
 def test_group_ladder_monotone_and_anchored():
@@ -126,9 +137,10 @@ def test_group_ladder_monotone_and_anchored():
         d = _d(rng.random(7))
         for q in qs:
             lad = group_local_sensitivity(d, q, 4)
-            assert lad.entry(1) == pytest.approx(local_sensitivity(d, q))
-            for i in range(2, 5):
-                assert lad.entry(i) >= lad.entry(i - 1) - 1e-12
+            steps = lad.per_distance
+            assert steps[0] == pytest.approx(local_sensitivity(d, q))
+            for i in range(1, 4):
+                assert steps[i] >= steps[i - 1] - 1e-12
 
 
 def test_report_shape():
