@@ -5,8 +5,8 @@ an explicit RandomSource, so identical seeds reproduce identical sequences.
 
 The heavy-tailed family has density c_gamma / (1 + |x|^gamma) for gamma > 1.
 gamma = 2 is the standard Cauchy with an analytic inverse CDF; other gammas
-use a tabulated CDF on a tangent grid, inverted with a monotone interpolant
-and Newton polish.
+use a tabulated CDF on a tangent grid, inverted with a linear-interpolation
+seed and Newton polish.
 """
 
 from __future__ import annotations
@@ -16,11 +16,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, interpolate
 
 from .errors import PreconditionError
 
 _TWO53 = float(1 << 53)
+_GL5_NODES, _GL5_WEIGHTS = np.polynomial.legendre.leggauss(5)
 
 
 @dataclass(frozen=True)
@@ -137,15 +137,11 @@ def dl_cdf(i, alpha: float):
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=32)
 def admissible_constant(gamma: float) -> float:
-    """Normalizing constant c_gamma of the density c/(1 + |z|^gamma), by quadrature."""
+    """Normalizing constant c_gamma of the density c/(1 + |z|^gamma), in closed form."""
     if not gamma > 1.0:
         raise PreconditionError(f"gamma must exceed 1, got {gamma}")
-    half, _err = integrate.quad(
-        lambda t: 1.0 / (1.0 + t**gamma), 0.0, np.inf, epsabs=1e-12, epsrel=1e-12
-    )
-    return 1.0 / (2.0 * half)
+    return gamma * math.sin(math.pi / gamma) / (2.0 * math.pi)
 
 
 class _QuantileTable:
@@ -164,6 +160,7 @@ class _QuantileTable:
 
     def __init__(self, gamma: float):
         self.gamma = gamma
+        self._c = admissible_constant(gamma)
         theta = np.linspace(0.0, np.pi / 2.0, self.SEGMENTS + 1)
         nodes, weights = np.polynomial.legendre.leggauss(16)
         a = theta[:-1]
@@ -178,11 +175,9 @@ class _QuantileTable:
         seg[-1] = float(self._tail_raw(self._log_z_edge))
 
         cum = np.concatenate(([0.0], np.cumsum(seg)))
-        self._total = float(cum[-1])  # equals 1/(2 c_gamma) up to quadrature error
         self.theta = theta
-        self.cdf = 0.5 + 0.5 * cum / self._total
+        self.cdf = 0.5 + self._c * cum
         self.cdf[-1] = 1.0
-        self._inverse = interpolate.PchipInterpolator(self.cdf, self.theta)
 
     def _integrand(self, theta):
         t = np.tan(theta)
@@ -207,11 +202,10 @@ class _QuantileTable:
         """Exact-to-quadrature CDF at theta below the last grid edge."""
         j = np.clip(np.searchsorted(self.theta, theta, side="right") - 1, 0, self.SEGMENTS - 1)
         anchor = self.theta[j]
-        nodes, weights = np.polynomial.legendre.leggauss(5)
         half = 0.5 * (theta - anchor)
-        pts = anchor + half * (nodes[:, None] + 1.0)
-        local = half * (weights @ self._integrand(pts))
-        return self.cdf[j] + 0.5 * local / self._total
+        pts = anchor + half * (_GL5_NODES[:, None] + 1.0)
+        local = half * (_GL5_WEIGHTS @ self._integrand(pts))
+        return self.cdf[j] + self._c * local
 
     def quantile(self, u):
         u = np.asarray(u, dtype=float)
@@ -226,13 +220,13 @@ class _QuantileTable:
         core = ~tail
         if np.any(core):
             wc = w[core]
-            theta = np.asarray(self._inverse(wc), dtype=float)
+            theta = np.interp(wc, self.cdf, self.theta)
             j = np.clip(np.searchsorted(self.cdf, wc, side="right") - 1, 0, self.SEGMENTS - 2)
             lo = self.theta[j]
             hi = self.theta[j + 1]
             theta = np.clip(theta, lo, hi)
             for _ in range(3):
-                density = np.maximum(0.5 * self._integrand(theta) / self._total, 1e-300)
+                density = np.maximum(self._c * self._integrand(theta), 1e-300)
                 theta = np.clip(theta - (self._cdf_at(theta) - wc) / density, lo, hi)
             z[core] = np.tan(theta)
 
@@ -244,7 +238,7 @@ class _QuantileTable:
         # starts within a few ppm, and the slope c z / (1 + z^gamma) is built
         # from exponentials whose arguments stay bounded
         g = self.gamma
-        c = 0.5 / self._total
+        c = self._c
         q = np.asarray(q, dtype=float)
         y = np.log(c / ((g - 1.0) * q)) / (g - 1.0)
         for _ in range(3):
@@ -261,8 +255,7 @@ class _QuantileTable:
         upper = np.empty_like(az)
         tail = az > self._z_edge
         if np.any(tail):
-            c = 0.5 / self._total
-            upper[tail] = 1.0 - c * self._tail_raw(np.log(az[tail]))
+            upper[tail] = 1.0 - self._c * self._tail_raw(np.log(az[tail]))
         core = ~tail
         if np.any(core):
             upper[core] = self._cdf_at(np.arctan(az[core]))

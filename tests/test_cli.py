@@ -2,9 +2,15 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import privcurator
 from privcurator import load_session
 from privcurator.cli import main
 
@@ -145,3 +151,23 @@ def test_bench_verify_battery(capsys):
     out = capsys.readouterr().out
     assert out.count("[ok]") == 16
     assert "FAIL" not in out
+
+
+def test_runtime_runs_without_scipy(data_csv, tmp_path):
+    # scipy is a test dependency only; with it unimportable, a dp-smooth answer
+    # (builds the gamma = 3 quantile table) and the noise profile (evaluates
+    # the admissible density) must still run
+    answer = _answer_args(data_csv, tmp_path / "session.json", regime="dp-smooth", gamma="3")
+    profile = ["bench", "noise-profile", "--out", str(tmp_path / "profile.csv")]
+    script = textwrap.dedent(f"""
+        import sys
+        sys.modules["scipy"] = None
+        from privcurator.cli import main
+        assert main({answer!r}) == 0
+        assert main({profile!r}) == 0
+    """)
+    src = str(Path(privcurator.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from privcurator import (
     AdmissibleNoiseParams,
@@ -88,10 +89,12 @@ def test_dl_pmf_cdf_consistency():
 
 
 def test_admissible_constant_closed_form():
-    # c = gamma sin(pi/gamma) / (2 pi)
+    # independent reference: c = 1 / (2 * integral_0^inf dt / (1 + t^gamma)) by quadrature
     for g in (1.5, 2.0, 2.5, 3.0, 4.0, 6.0):
-        expected = g * math.sin(math.pi / g) / (2.0 * math.pi)
-        assert admissible_constant(g) == pytest.approx(expected, abs=1e-10)
+        half, _err = integrate.quad(
+            lambda t, g: 1.0 / (1.0 + t**g), 0.0, np.inf, args=(g,), epsabs=1e-12, epsrel=1e-12
+        )
+        assert admissible_constant(g) == pytest.approx(1.0 / (2.0 * half), abs=1e-10)
     with pytest.raises(PreconditionError):
         admissible_constant(1.0)
 

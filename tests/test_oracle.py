@@ -184,3 +184,12 @@ def test_gdp_schedule_is_tight_at_the_group_size():
     # two changes flip the median; the ratio meets exp(2 * eps) exactly
     assert report.worst_ratio == pytest.approx(math.e)
     assert report.worst_bound == pytest.approx(math.e)
+    # a histogram meets its bound at distance 1 and at distance 2; the report
+    # must name a distance-2 neighbor, where the ratio reaches exp(2 * eps)
+    g3 = GridDomain((0.0, 0.5, 1.0), 3)
+    d = _on_grid([0, 0, 0], g3)
+    report = verify_ratio_bound(d, QuerySpec.histogram([0.0, 0.5, 1.0]), cfg, g3, 2)
+    assert report.passed
+    assert report.worst_ratio == pytest.approx(math.e)
+    assert report.worst_bound == pytest.approx(math.e)
+    assert multiset_distance((0.0, 0.0, 0.0), report.worst_dataset) == 2
