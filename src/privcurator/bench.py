@@ -27,7 +27,13 @@ from .noise import (
     sample_admissible,
     sample_laplace,
 )
-from .oracle import GridDomain, brute_local_sensitivity, brute_smooth_sensitivity, verify_ratio_bound
+from .oracle import (
+    GridDomain,
+    brute_local_sensitivity,
+    brute_smooth_sensitivity,
+    brute_value,
+    verify_ratio_bound,
+)
 from .queries import QuerySpec, evaluate
 from .sensitivity import local_sensitivity, smooth_sensitivity
 
@@ -217,6 +223,7 @@ def run_verification() -> list[dict]:
     and that the ledger and the published answer fields hold what they claim.
     """
     rows = _verify_closed_forms()
+    rows.append(_verify_evaluation())
     rows.extend(_verify_ratio_bounds())
     rows.extend(_verify_histogram_ratio_bounds())
     rows.append(_verify_histogram_budget())
@@ -234,13 +241,17 @@ def _oracle_queries() -> tuple[QuerySpec, ...]:
     )
 
 
+def _oracle_grids() -> list[GridDomain]:
+    # values sit exactly on the histogram and range edges 0, 0.5 and 1
+    return [GridDomain(points, n) for points in ((0.0, 1.0), (0.0, 0.5, 1.0)) for n in (3, 5)]
+
+
 def _verify_closed_forms(beta: float = 0.3, tolerance: float = 1e-12) -> list[dict]:
-    grids = [GridDomain(points, n) for points in ((0.0, 1.0), (0.0, 0.5, 1.0)) for n in (3, 5)]
     rows = []
     for q in _oracle_queries():
         worst = 0.0
         checked = 0
-        for grid in grids:
+        for grid in _oracle_grids():
             bounds = grid.bounds()
             for values in grid.datasets():
                 d = Dataset(np.asarray(values), bounds)
@@ -254,6 +265,22 @@ def _verify_closed_forms(beta: float = 0.3, tolerance: float = 1e-12) -> list[di
             "detail": f"{checked} datasets, worst gap {worst:.3e}",
         })
     return rows
+
+
+def _verify_evaluation() -> dict:
+    checked = mismatches = 0
+    for grid in _oracle_grids():
+        for values in grid.datasets():
+            d = Dataset(np.asarray(values), grid.bounds())
+            for q in _oracle_queries():
+                checked += 1
+                if not np.array_equal(np.atleast_1d(evaluate(d, q)), brute_value(values, q)):
+                    mismatches += 1
+    return {
+        "check": "query evaluation vs definition",
+        "passed": mismatches == 0,
+        "detail": f"{checked} dataset-query pairs, {mismatches} mismatches",
+    }
 
 
 def _verify_ratio_bounds() -> list[dict]:

@@ -20,7 +20,7 @@ from .curator import MechanismConfig, calibrate
 from .dataset import Dataset, DomainBounds
 from .errors import ConfigError, PreconditionError
 from .noise import dl_pmf
-from .queries import QuerySpec, evaluate_sorted
+from .queries import HISTOGRAM, MAXIMUM, MEDIAN, RANGE_COUNT, QuerySpec
 
 
 @dataclass(frozen=True)
@@ -66,20 +66,40 @@ def multiset_distance(a, b) -> int:
     return sum(abs(c) for c in diff.values()) // 2
 
 
-def _f(values, q: QuerySpec) -> np.ndarray:
-    out = evaluate_sorted(np.asarray(values, dtype=float), q)
+def brute_value(values, q: QuerySpec) -> np.ndarray:
+    """f(values) straight from the definition, as a float vector.
+
+    Counts scan every value, so this stays independent of the binary search
+    in `queries.evaluate`, which it is the reference for. `values` is sorted.
+    """
+    v = np.asarray(values, dtype=float)
+    n = v.size
+    if q.kind == RANGE_COUNT:
+        out = np.count_nonzero((v >= q.lo) & (v <= q.hi))
+    elif q.kind == HISTOGRAM:
+        out, _ = np.histogram(v, bins=np.asarray(q.edges))
+    elif q.kind == MEDIAN:
+        if n % 2 == 0:
+            raise PreconditionError(f"median needs an odd number of records, got {n}")
+        out = v[(n - 1) // 2]
+    elif q.kind == MAXIMUM:
+        out = v[-1]
+    else:
+        if n < 2:
+            raise PreconditionError(f"second_maximum needs n >= 2, got {n}")
+        out = v[-2]
     return np.atleast_1d(np.asarray(out, dtype=float))
 
 
 # smooth-sensitivity enumeration revisits the same multisets many times
 @lru_cache(maxsize=200_000)
 def _ls_of(values, q: QuerySpec, grid: GridDomain) -> float:
-    base = _f(values, q)
+    base = brute_value(values, q)
     worst = 0.0
     for i in range(len(values)):
         for p in grid.points:
             y = sorted(values[:i] + (p,) + values[i + 1:])
-            worst = max(worst, float(np.sum(np.abs(_f(y, q) - base))))
+            worst = max(worst, float(np.sum(np.abs(brute_value(y, q) - base))))
     return worst
 
 
@@ -142,7 +162,7 @@ def verify_ratio_bound(
     if cal.family == "admissible":
         raise ConfigError("ratio verification supports laplace and discrete_laplace only")
 
-    f_base = _f(base, q)
+    f_base = brute_value(base, q)
     checked = 0
     worst_key = (0.0, 0)  # (excess, distance)
     worst = (1.0, math.exp(cfg.epsilon), None)
@@ -153,7 +173,7 @@ def verify_ratio_bound(
             continue
         checked += 1
         bound = math.exp(dist * cfg.epsilon) if cfg.regime == "gdp" else math.exp(cfg.epsilon)
-        ratio = _sup_ratio(cal, f_base, _f(y, q))
+        ratio = _sup_ratio(cal, f_base, brute_value(y, q))
         excess = math.inf if math.isinf(ratio) else ratio / bound
         # on equal excess the farther neighbor wins, so a tight gdp bound at
         # the largest distance is the one reported

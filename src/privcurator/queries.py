@@ -140,12 +140,12 @@ def _fmt(x: float) -> str:
 
 
 def evaluate(d: Dataset, q: QuerySpec) -> QueryValue:
-    """Evaluate the query exactly. Raises on unmet preconditions."""
-    return evaluate_sorted(d.values, q)
+    """Evaluate the query exactly. Raises on unmet preconditions.
 
-
-def evaluate_sorted(values: np.ndarray, q: QuerySpec) -> QueryValue:
-    """Evaluate on an already-sorted value array (oracle fast path)."""
+    Order statistics are indexed; counts and histograms binary-search the
+    sorted values, O(log n) per endpoint or edge.
+    """
+    values = d.values
     n = values.size
     if q.kind == MEDIAN:
         if n % 2 == 0:
@@ -158,6 +158,9 @@ def evaluate_sorted(values: np.ndarray, q: QuerySpec) -> QueryValue:
             raise PreconditionError(f"second_maximum needs n >= 2, got {n}")
         return float(values[-2])
     if q.kind == RANGE_COUNT:
-        return int(np.count_nonzero((values >= q.lo) & (values <= q.hi)))
-    counts, _ = np.histogram(values, bins=np.asarray(q.edges))
-    return counts.astype(np.int64)
+        return int(np.searchsorted(values, q.hi, "right") - np.searchsorted(values, q.lo, "left"))
+    # bins are [e_i, e_{i+1}) except the last, which also keeps its right edge
+    edges = np.asarray(q.edges)
+    cuts = np.searchsorted(values, edges, "left")
+    cuts[-1] = np.searchsorted(values, edges[-1], "right")
+    return np.diff(cuts).astype(np.int64, copy=False)

@@ -3,7 +3,9 @@
 All formulas are order-statistic arithmetic on the sorted values plus the
 domain edges. Order statistics referenced outside 1..n are clamped to the
 domain: x~_i = min(Dom) for i < 1 and x~_i = max(Dom) for i > n. The brute
-force oracle validates this convention; it is not assumed.
+force oracle validates this convention; it is not assumed. The clamp is a
+read of the sorted values or of a bound, never a padded copy of the data, so
+a ladder or a smooth-sensitivity loop costs what it reads, not O(n).
 
 Counting queries have constant L1 sensitivity min(2, n_bins) under the
 modify-one-record neighbor relation, where a range count has one bin. A
@@ -74,15 +76,24 @@ class GroupSensitivity:
 # ---------------------------------------------------------------------------
 
 
-def _padded(values: np.ndarray, bounds: DomainBounds) -> np.ndarray:
-    # pad[i] is the 1-based order statistic x_i for 1 <= i <= n, with the
-    # domain edges at positions 0 and n+1; clamped indexing reads off it.
-    return np.concatenate(([bounds.lower], values, [bounds.upper]))
+def _stat(v: np.ndarray, bounds: DomainBounds, i: int) -> float:
+    # the clamped 1-based order statistic x~_i
+    if i < 1:
+        return bounds.lower
+    if i > v.size:
+        return bounds.upper
+    return float(v[i - 1])
 
 
-def _stat(pad: np.ndarray, i: int) -> float:
-    n = pad.size - 2
-    return float(pad[min(max(i, 0), n + 1)])
+def _window(v: np.ndarray, bounds: DomainBounds, mid: int, h: int) -> np.ndarray:
+    # x~_{mid-h} .. x~_{mid+h}: 2h + 1 clamped order statistics, x~_mid at index h
+    first = mid - h
+    a, b = max(first, 1), min(mid + h, v.size)
+    w = np.empty(2 * h + 1)
+    w[: a - first] = bounds.lower
+    w[a - first : b - first + 1] = v[a - 1 : b]
+    w[b - first + 1 :] = bounds.upper
+    return w
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +153,15 @@ def smooth_sensitivity(d: Dataset, q: QuerySpec, beta: float) -> float:
     The max over y at distance k reduces to order-statistic expressions; the
     overall max over k = 0..n stops early once exp(-beta k) times the domain
     span cannot beat the best term found so far.
+
+    For the median, a_k is the largest gap x~_{M+t} - x~_{M+t-k-1}, t = 0..k+1,
+    read from a window of clamped order statistics around the median that
+    doubles when k outgrows it. A k is skipped when exp(-beta k) times the
+    outer gap x~_{M+k+1} - x~_{M-k-1} cannot beat the best term: every gap of
+    a_k lies inside that one, and float subtraction and multiplication round
+    monotonically, so the skip leaves the result bit-identical. All-tied data
+    then costs O(n) scalar steps; adversarial spacing can still cost O(K^2)
+    up to the stopping index K.
     """
     if not beta > 0:
         raise PreconditionError(f"beta must be positive, got {beta}")
@@ -164,25 +184,28 @@ def smooth_sensitivity(d: Dataset, q: QuerySpec, beta: float) -> float:
 
 def _smooth_median(v: np.ndarray, bounds: DomainBounds, beta: float) -> float:
     n = v.size
-    M = (n + 1) // 2  # 1-based median index; equals its position in the padded array
-    pad = _padded(v, bounds)
+    M = (n + 1) // 2  # 1-based median index
     span = bounds.span
     best = 0.0
+    h = 0  # half-width of the window w, which holds x~_{M-h} .. x~_{M+h}
     for k in range(n + 1):
         decay = math.exp(-beta * k)
         if decay * span <= best:
             break  # distance-k local sensitivity never exceeds the domain span
-        t = np.arange(k + 2)
-        hi = np.clip(M + t, 0, n + 1)
-        lo = np.clip(M + t - k - 1, 0, n + 1)
-        a_k = float(np.max(pad[hi] - pad[lo]))
+        # exact skip: no gap of a_k exceeds this outer gap (see the docstring)
+        if decay * (_stat(v, bounds, M + k + 1) - _stat(v, bounds, M - k - 1)) <= best:
+            continue
+        if k + 1 > h:
+            h = min(max(2 * h, 64, k + 1), n + 1)
+            w = _window(v, bounds, M, h)
+        # a_k = max over t = 0..k+1 of x~_{M+t} - x~_{M+t-k-1}
+        a_k = float(np.max(w[h : h + k + 2] - w[h - k - 1 : h + 1]))
         best = max(best, decay * a_k)
     return best
 
 
 def _smooth_maximum(v: np.ndarray, bounds: DomainBounds, beta: float) -> float:
     n = v.size
-    pad = _padded(v, bounds)
     upper = bounds.upper
     top = float(v[-1])
     best = 0.0
@@ -190,14 +213,13 @@ def _smooth_maximum(v: np.ndarray, bounds: DomainBounds, beta: float) -> float:
         decay = math.exp(-beta * k)
         if decay * bounds.span <= best:
             break
-        a_k = max(upper - _stat(pad, n - k), top - _stat(pad, n - k - 1))
+        a_k = max(upper - _stat(v, bounds, n - k), top - _stat(v, bounds, n - k - 1))
         best = max(best, decay * a_k)
     return best
 
 
 def _smooth_second_maximum(v: np.ndarray, bounds: DomainBounds, beta: float) -> float:
     n = v.size
-    pad = _padded(v, bounds)
     upper = bounds.upper
     top = float(v[-1])
     runner_up = float(v[-2])
@@ -208,9 +230,9 @@ def _smooth_second_maximum(v: np.ndarray, bounds: DomainBounds, beta: float) -> 
             break
         # k modifications can hollow out the values under the kept top pair,
         # or (for k >= 1) plant a record at max(Dom) above a lowered runner-up
-        a_k = max(top - _stat(pad, n - k - 1), runner_up - _stat(pad, n - k - 2))
+        a_k = max(top - _stat(v, bounds, n - k - 1), runner_up - _stat(v, bounds, n - k - 2))
         if k >= 1:
-            a_k = max(a_k, upper - _stat(pad, n - k))
+            a_k = max(a_k, upper - _stat(v, bounds, n - k))
         best = max(best, decay * a_k)
     return best
 
@@ -231,8 +253,8 @@ def group_local_sensitivity(d: Dataset, q: QuerySpec, g: int) -> GroupSensitivit
         raise PreconditionError(f"group size must be >= 1, got {g}")
     v = d.values
     n = v.size
-    pad = _padded(v, d.bounds)
-    upper = d.bounds.upper
+    bounds = d.bounds
+    upper = bounds.upper
 
     if q.kind == MEDIAN:
         if n % 2 == 0 or n < 3:
@@ -240,13 +262,14 @@ def group_local_sensitivity(d: Dataset, q: QuerySpec, g: int) -> GroupSensitivit
         M = (n + 1) // 2
         med = float(v[M - 1])
         entries = [
-            max(_stat(pad, M + i) - med, med - _stat(pad, M - i)) for i in range(1, g + 1)
+            max(_stat(v, bounds, M + i) - med, med - _stat(v, bounds, M - i))
+            for i in range(1, g + 1)
         ]
     elif q.kind == MAXIMUM:
         if n < 2:
             raise PreconditionError(f"maximum group sensitivity needs n >= 2, got {n}")
         top = float(v[-1])
-        entries = [max(upper - top, top - _stat(pad, n - i)) for i in range(1, g + 1)]
+        entries = [max(upper - top, top - _stat(v, bounds, n - i)) for i in range(1, g + 1)]
     elif q.kind == SECOND_MAXIMUM:
         if n < 3:
             raise PreconditionError(f"second_maximum group sensitivity needs n >= 3, got {n}")
@@ -257,7 +280,7 @@ def group_local_sensitivity(d: Dataset, q: QuerySpec, g: int) -> GroupSensitivit
             # one modification can promote the old maximum to second place;
             # two or more can plant a pair of records at max(Dom)
             up = top - runner_up if i == 1 else upper - runner_up
-            down = runner_up - _stat(pad, n - i - 1)
+            down = runner_up - _stat(v, bounds, n - i - 1)
             entries.append(max(up, down))
     elif q.kind == RANGE_COUNT:
         c = int(evaluate(d, q))

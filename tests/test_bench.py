@@ -121,8 +121,8 @@ def test_write_csv_round_trip(tmp_path):
 
 def test_verification_battery_passes():
     rows = run_verification()
-    assert len(rows) == 16
-    assert len({r["check"] for r in rows}) == 16
+    assert len(rows) == 17
+    assert len({r["check"] for r in rows}) == 17
     for r in rows:
         assert r["passed"], r
         assert r["detail"]

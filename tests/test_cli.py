@@ -149,7 +149,7 @@ def test_bench_verify_battery(capsys):
     rc = main(["bench", "--verify"])
     assert rc == 0
     out = capsys.readouterr().out
-    assert out.count("[ok]") == 16
+    assert out.count("[ok]") == 17
     assert "FAIL" not in out
 
 

@@ -91,3 +91,36 @@ def test_evaluation_ignores_input_order():
         d2 = Dataset(values[::-1].copy(), DomainBounds(-10, 10))
         for q in qs:
             assert np.all(evaluate(d1, q) == evaluate(d2, q))
+
+
+def _scan(values, q):
+    # the definitions, by a full pass over the values
+    if q.kind == "range_count":
+        return int(np.count_nonzero((values >= q.lo) & (values <= q.hi)))
+    return np.histogram(values, bins=np.asarray(q.edges))[0]
+
+
+def test_counts_match_the_definitional_scan():
+    rng = np.random.default_rng(31)
+    bounds = DomainBounds(-5, 5)
+    edge_sets = ([0.0, 1.0], [-1.0, 0.0, 0.5, 1.0], [-5.0, -2.5, 0.0, 2.5, 5.0],
+                 [1.25, 1.5, 3.0], [-4.9, 4.9], [6.0, 7.0], [-9.0, -6.0, 9.0])
+    ranges = [(0.0, 0.0), (0.5, 0.5), (0.25, 0.25), (-1.0, 1.0), (-5.0, 5.0),
+              (6.0, 8.0), (-8.0, -6.0), (-0.5, 0.5), (1.0, 3.0)]
+    for size in (1, 2, 7, 50, 301):
+        for _ in range(10):
+            # half-integer steps: heavy ties, many values exactly on an edge
+            raw = rng.integers(-8, 9, size) / 2.0
+            if rng.random() < 0.3:
+                raw[:] = raw[0]  # all tied
+            d = Dataset(raw, bounds)
+            for lo, hi in ranges:
+                q = QuerySpec.range_count(lo, hi)
+                got = evaluate(d, q)
+                assert type(got) is int
+                assert got == _scan(d.values, q), (raw, lo, hi)
+            for edges in edge_sets:
+                q = QuerySpec.histogram(edges)
+                got = evaluate(d, q)
+                assert got.dtype == np.int64
+                assert got.tolist() == _scan(d.values, q).tolist(), (raw, edges)

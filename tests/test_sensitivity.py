@@ -151,3 +151,86 @@ def test_report_shape():
     assert out["local"] == pytest.approx(0.4)
     assert out["smooth"] == "unbounded"
     assert out["beta"] == 0.4
+
+
+# ---------------------------------------------------------------------------
+# plain reference: the padded-array loops, one full scan per k
+# ---------------------------------------------------------------------------
+
+
+def _ref_padded(d):
+    return np.concatenate(([d.bounds.lower], d.values, [d.bounds.upper]))
+
+
+def _ref_stat(pad, i):
+    return float(pad[min(max(i, 0), pad.size - 1)])
+
+
+def _ref_smooth(d, q, beta):
+    pad = _ref_padded(d)
+    n = d.n
+    upper, span = d.bounds.upper, d.bounds.span
+    top, runner_up = float(pad[n]), float(pad[n - 1])
+    M = (n + 1) // 2
+    best = 0.0
+    for k in range(n + 1):
+        decay = math.exp(-beta * k)
+        if decay * span <= best:
+            break
+        if q.kind == "median":
+            t = np.arange(k + 2)
+            hi = np.clip(M + t, 0, n + 1)
+            lo = np.clip(M + t - k - 1, 0, n + 1)
+            a_k = float(np.max(pad[hi] - pad[lo]))
+        elif q.kind == "maximum":
+            a_k = max(upper - _ref_stat(pad, n - k), top - _ref_stat(pad, n - k - 1))
+        else:
+            a_k = max(top - _ref_stat(pad, n - k - 1), runner_up - _ref_stat(pad, n - k - 2))
+            if k >= 1:
+                a_k = max(a_k, upper - _ref_stat(pad, n - k))
+        best = max(best, decay * a_k)
+    return best
+
+
+def _ref_group(d, q, g):
+    pad = _ref_padded(d)
+    n = d.n
+    upper = d.bounds.upper
+    top, runner_up = float(pad[n]), float(pad[n - 1])
+    if q.kind == "median":
+        M = (n + 1) // 2
+        med = float(pad[M])
+        return tuple(max(_ref_stat(pad, M + i) - med, med - _ref_stat(pad, M - i))
+                     for i in range(1, g + 1))
+    if q.kind == "maximum":
+        return tuple(max(upper - top, top - _ref_stat(pad, n - i)) for i in range(1, g + 1))
+    return tuple(max(top - runner_up if i == 1 else upper - runner_up,
+                     runner_up - _ref_stat(pad, n - i - 1)) for i in range(1, g + 1))
+
+
+def _reference_datasets():
+    rng = np.random.default_rng(77)
+    bounds = DomainBounds(-1.0, 3.0)
+    for n in (1, 3, 129, 131, 999, 2001):
+        yield Dataset(rng.uniform(-1.0, 3.0, n), bounds)
+        yield Dataset(rng.integers(0, 4, n).astype(float), bounds)  # tie-heavy
+        yield Dataset(np.full(n, 1.5), bounds)  # all tied
+        # piles at both domain edges around a few interior values
+        piled = np.where(rng.random(n) < 0.5, -1.0, 3.0)
+        piled[: n // 10] = rng.uniform(-1.0, 3.0, n // 10)
+        yield Dataset(piled, bounds)
+        yield Dataset(np.full(n, 3.0), bounds)  # all at max(Dom)
+
+
+def test_sensitivities_equal_the_plain_reference():
+    # the oracle enumerates n <= 7 only, so the window and skip logic of the
+    # smooth median are pinned here, bit for bit
+    order_qs = (QuerySpec.median(), QuerySpec.maximum(), QuerySpec.second_maximum())
+    for d in _reference_datasets():
+        for q in order_qs:
+            if q.kind == "second_maximum" and d.n < 3:
+                continue
+            for beta in (1e-3, 0.033, 0.5, 3.0):
+                assert smooth_sensitivity(d, q, beta) == _ref_smooth(d, q, beta), (d.n, q, beta)
+            if d.n >= 3:
+                assert group_local_sensitivity(d, q, 6).per_distance == _ref_group(d, q, 6), (d.n, q)
