@@ -44,9 +44,7 @@ from .noise import (
     DiscreteLaplaceParams,
     LaplaceParams,
     RandomSource,
-    admissible_cdf,
     admissible_pdf,
-    admissible_quantile,
     dl_cdf,
     dl_pmf,
     laplace_cdf,
@@ -103,9 +101,7 @@ __all__ = [
     "SensitivityError",
     "SensitivityReport",
     "SessionError",
-    "admissible_cdf",
     "admissible_pdf",
-    "admissible_quantile",
     "answer",
     "brute_local_sensitivity",
     "brute_smooth_sensitivity",

@@ -1,17 +1,17 @@
 """Noise samplers: Laplace, discrete Laplace, and a heavy-tailed family.
 
-Every sampler is a deterministic inverse-CDF transform of uniforms drawn from
-an explicit RandomSource, so identical seeds reproduce identical sequences.
+Every sampler is a deterministic transform of draws from an explicit
+RandomSource, so identical seeds reproduce identical sequences. Laplace,
+discrete Laplace and the gamma = 2 member of the heavy-tailed family invert
+their CDFs in closed form.
 
 The heavy-tailed family has density c_gamma / (1 + |x|^gamma) for gamma > 1.
-gamma = 2 is the standard Cauchy with an analytic inverse CDF; other gammas
-use a tabulated CDF on a tangent grid, inverted with a linear-interpolation
-seed and Newton polish.
+Its CDF has no closed-form inverse for gamma != 2, so those draws are built
+exactly from a ratio of two gamma variates (see sample_admissible).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -20,7 +20,6 @@ import numpy as np
 from .errors import PreconditionError
 
 _TWO53 = float(1 << 53)
-_GL5_NODES, _GL5_WEIGHTS = np.polynomial.legendre.leggauss(5)
 
 
 @dataclass(frozen=True)
@@ -63,7 +62,7 @@ class AdmissibleNoiseParams:
 
 
 class RandomSource:
-    """Seeded deterministic uniform stream feeding the inverse-CDF samplers.
+    """Seeded deterministic stream of uniforms and log-gamma variates.
 
     Uniforms are dyadic points in the open interval (0, 1), so log and tan
     transforms never see an endpoint.
@@ -79,6 +78,16 @@ class RandomSource:
     def uniforms(self, size: int | None = None):
         raw = self._gen.integers(1, 1 << 53, size=size)
         return raw / _TWO53
+
+    def log_gammas(self, shape: float, size: int | None = None):
+        """log G for G ~ Gamma(shape, 1), as log G_{shape+1} + log(U) / shape.
+
+        G_{shape+1} * U^(1/shape) is Gamma(shape) distributed. Taking it in log
+        space keeps small shapes finite: about 600 in 1e6 Gamma(0.01) draws
+        underflow to 0.0, while log(U) / 0.01 stays above -3.7e3.
+        """
+        log_g = np.log(self._gen.standard_gamma(shape + 1.0, size))
+        return log_g + np.log(self.uniforms(size)) / shape
 
     def spawn(self, k: int) -> list["RandomSource"]:
         """Derive k independent child sources; deterministic given the seed."""
@@ -144,151 +153,27 @@ def admissible_constant(gamma: float) -> float:
     return gamma * math.sin(math.pi / gamma) / (2.0 * math.pi)
 
 
-class _QuantileTable:
-    """Cumulative CDF of the unit-shape density on a tangent grid.
-
-    With z = tan(theta) the half-line CDF integrand becomes
-    (1 + tan^2 theta) / (1 + tan^gamma theta) on [0, pi/2], a finite interval.
-    Segments are integrated with 16-point Gauss-Legendre. The substitution
-    degenerates on the final segment, so everything past the last interior
-    grid edge uses the analytic tail series of integral_z^inf dt/(1+t^gamma)
-    instead, both for the CDF and for extreme quantiles; heavy tails
-    (gamma < 2) lose no accuracy that way.
-    """
-
-    SEGMENTS = 4096
-
-    def __init__(self, gamma: float):
-        self.gamma = gamma
-        self._c = admissible_constant(gamma)
-        theta = np.linspace(0.0, np.pi / 2.0, self.SEGMENTS + 1)
-        nodes, weights = np.polynomial.legendre.leggauss(16)
-        a = theta[:-1]
-        b = theta[1:]
-        mid = 0.5 * (a + b)
-        half = 0.5 * (b - a)
-        pts = mid[:, None] + half[:, None] * nodes[None, :]
-        seg = half * (self._integrand(pts) @ weights)
-
-        self._z_edge = float(np.tan(theta[-2]))
-        self._log_z_edge = math.log(self._z_edge)
-        seg[-1] = float(self._tail_raw(self._log_z_edge))
-
-        cum = np.concatenate(([0.0], np.cumsum(seg)))
-        self.theta = theta
-        self.cdf = 0.5 + self._c * cum
-        self.cdf[-1] = 1.0
-
-    def _integrand(self, theta):
-        t = np.tan(theta)
-        return (1.0 + t * t) / (1.0 + np.abs(t) ** self.gamma)
-
-    def _tail_raw(self, log_z):
-        """integral_z^inf dt/(1 + t^gamma) for z at or past the last grid edge.
-
-        Alternating series in z^-gamma; at the grid edge the first omitted
-        term is below 1e-20 of the sum. Powers are exponentials of negative
-        arguments, so no magnitude of z can overflow.
-        """
-        g = self.gamma
-        log_z = np.asarray(log_z, dtype=float)
-        out = 0.0
-        for k in (1, 2, 3, 4):
-            term = np.exp((1.0 - k * g) * log_z) / (k * g - 1.0)
-            out = out + (term if k % 2 == 1 else -term)
-        return out
-
-    def _cdf_at(self, theta):
-        """Exact-to-quadrature CDF at theta below the last grid edge."""
-        j = np.clip(np.searchsorted(self.theta, theta, side="right") - 1, 0, self.SEGMENTS - 1)
-        anchor = self.theta[j]
-        half = 0.5 * (theta - anchor)
-        pts = anchor + half * (_GL5_NODES[:, None] + 1.0)
-        local = half * (_GL5_WEIGHTS @ self._integrand(pts))
-        return self.cdf[j] + self._c * local
-
-    def quantile(self, u):
-        u = np.asarray(u, dtype=float)
-        scalar = u.ndim == 0
-        uu = np.atleast_1d(u)
-        w = np.where(uu >= 0.5, uu, 1.0 - uu)
-        z = np.empty_like(w)
-
-        tail = w > self.cdf[-2]
-        if np.any(tail):
-            z[tail] = self._tail_quantile(1.0 - w[tail])
-        core = ~tail
-        if np.any(core):
-            wc = w[core]
-            theta = np.interp(wc, self.cdf, self.theta)
-            j = np.clip(np.searchsorted(self.cdf, wc, side="right") - 1, 0, self.SEGMENTS - 2)
-            lo = self.theta[j]
-            hi = self.theta[j + 1]
-            theta = np.clip(theta, lo, hi)
-            for _ in range(3):
-                density = np.maximum(self._c * self._integrand(theta), 1e-300)
-                theta = np.clip(theta - (self._cdf_at(theta) - wc) / density, lo, hi)
-            z[core] = np.tan(theta)
-
-        out = np.where(uu >= 0.5, z, -z)
-        return float(out[0]) if scalar else out
-
-    def _tail_quantile(self, q):
-        # solve c * tail(z) = q by Newton in y = log z; the one-term inversion
-        # starts within a few ppm, and the slope c z / (1 + z^gamma) is built
-        # from exponentials whose arguments stay bounded
-        g = self.gamma
-        c = self._c
-        q = np.asarray(q, dtype=float)
-        y = np.log(c / ((g - 1.0) * q)) / (g - 1.0)
-        for _ in range(3):
-            h = c * self._tail_raw(y) - q
-            slope = c / (np.exp(-y) + np.exp((g - 1.0) * y))
-            y = y + h / slope
-        return np.exp(y)
-
-    def cdf_at_z(self, z):
-        z = np.asarray(z, dtype=float)
-        scalar = z.ndim == 0
-        zz = np.atleast_1d(z)
-        az = np.abs(zz)
-        upper = np.empty_like(az)
-        tail = az > self._z_edge
-        if np.any(tail):
-            upper[tail] = 1.0 - self._c * self._tail_raw(np.log(az[tail]))
-        core = ~tail
-        if np.any(core):
-            upper[core] = self._cdf_at(np.arctan(az[core]))
-        out = np.where(zz >= 0, upper, 1.0 - upper)
-        return float(out[0]) if scalar else out
-
-
-@functools.lru_cache(maxsize=16)
-def _table(gamma: float) -> _QuantileTable:
-    return _QuantileTable(gamma)
-
-
-def admissible_quantile(u, gamma: float):
-    """Quantile of the unit-shape draw; analytic for gamma = 2, tabulated otherwise."""
-    if gamma == 2.0:
-        z = np.tan(np.pi * (np.asarray(u, dtype=float) - 0.5))
-        return float(z) if np.ndim(u) == 0 else z
-    return _table(float(gamma)).quantile(u)
-
-
-def admissible_cdf(z, gamma: float):
-    if gamma == 2.0:
-        c = 0.5 + np.arctan(np.asarray(z, dtype=float)) / np.pi
-        return float(c) if np.ndim(z) == 0 else c
-    return _table(float(gamma)).cdf_at_z(z)
-
-
 def admissible_pdf(z, gamma: float):
     c = admissible_constant(float(gamma))
     return c / (1.0 + np.abs(np.asarray(z, dtype=float)) ** gamma)
 
 
 def sample_admissible(p: AdmissibleNoiseParams, rng: RandomSource, size: int | None = None):
-    u = rng.uniforms(size)
-    draw = p.scale * admissible_quantile(u, p.gamma)
+    """Draw scale * Z with Z of density c_gamma / (1 + |z|^gamma).
+
+    gamma = 2 is the Cauchy, drawn as tan(pi (u - 1/2)) from one uniform. For
+    other gammas, W = |Z|^gamma has density ~ w^(1/gamma - 1) / (1 + w), which
+    is BetaPrime(1/gamma, 1 - 1/gamma), the law of G1 / G2 for independent
+    G1 ~ Gamma(1/gamma) and G2 ~ Gamma(1 - 1/gamma). So |Z| = (G1 / G2)^(1/gamma)
+    exactly, and one more uniform picks the sign. The ratio is formed from
+    log-gammas: both shapes are below 1, where a plain gamma draw can
+    underflow to 0.0 and the release would then carry no noise at all.
+    """
+    if p.gamma == 2.0:
+        z = np.tan(np.pi * (rng.uniforms(size) - 0.5))
+    else:
+        a = 1.0 / p.gamma
+        log_w = rng.log_gammas(a, size) - rng.log_gammas(1.0 - a, size)
+        z = np.copysign(np.exp(log_w / p.gamma), rng.uniforms(size) - 0.5)
+    draw = p.scale * z
     return float(draw) if size is None else draw

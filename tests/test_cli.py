@@ -155,8 +155,8 @@ def test_bench_verify_battery(capsys):
 
 def test_runtime_runs_without_scipy(data_csv, tmp_path):
     # scipy is a test dependency only; with it unimportable, a dp-smooth answer
-    # (builds the gamma = 3 quantile table) and the noise profile (evaluates
-    # the admissible density) must still run
+    # (draws gamma = 3 admissible noise) and the noise profile (evaluates the
+    # admissible density) must still run
     answer = _answer_args(data_csv, tmp_path / "session.json", regime="dp-smooth", gamma="3")
     profile = ["bench", "noise-profile", "--out", str(tmp_path / "profile.csv")]
     script = textwrap.dedent(f"""

@@ -1,10 +1,10 @@
-"""Noise samplers, densities, and the tabulated heavy-tail quantiles."""
+"""Noise samplers and densities."""
 
 import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, stats
 
 from privcurator import (
     AdmissibleNoiseParams,
@@ -12,9 +12,7 @@ from privcurator import (
     LaplaceParams,
     PreconditionError,
     RandomSource,
-    admissible_cdf,
     admissible_pdf,
-    admissible_quantile,
     dl_cdf,
     dl_pmf,
     laplace_cdf,
@@ -23,7 +21,7 @@ from privcurator import (
     sample_discrete_laplace,
     sample_laplace,
 )
-from privcurator.noise import _table, admissible_constant
+from privcurator.noise import admissible_constant
 
 
 def test_param_validation():
@@ -99,35 +97,39 @@ def test_admissible_constant_closed_form():
         admissible_constant(1.0)
 
 
-def test_quantile_table_matches_analytic_cauchy():
-    # gamma = 2 normally short-circuits to tan; force the table path
-    table = _table(2.0)
-    u = np.linspace(0.001, 0.999, 4001)
-    exact = np.tan(np.pi * (u - 0.5))
-    got = table.quantile(u)
-    err = np.abs(got - exact) / np.maximum(1.0, np.abs(exact))
-    assert float(np.max(err)) < 1e-9
-    cdf_err = np.abs(table.cdf_at_z(exact) - u)
-    assert float(np.max(cdf_err)) < 1e-12
+def test_admissible_reference_cdf_integrates_the_density(admissible_reference_cdf):
+    # the test-side betainc CDF against quadrature of the library's density
+    for g in (1.05, 1.5, 3.0, 5.0, 20.0, 100.0):
+        for z in (0.3, 1.0, 2.5, 40.0):
+            half, _err = integrate.quad(lambda t: float(admissible_pdf(t, g)), 0.0, z,
+                                        epsabs=1e-13, epsrel=1e-13)
+            assert float(admissible_reference_cdf(z, g)) == pytest.approx(0.5 + half, abs=1e-10)
+            assert float(admissible_reference_cdf(-z, g)) == pytest.approx(0.5 - half, abs=1e-10)
 
 
-def test_admissible_quantile_cdf_roundtrip():
-    for g in (1.5, 3.0, 5.0):
-        u = np.linspace(1e-6, 1 - 1e-6, 2001)
-        z = admissible_quantile(u, g)
-        assert np.all(np.diff(z) > 0)
-        assert float(np.max(np.abs(admissible_cdf(z, g) - u))) < 1e-12
-        # symmetric family: q(1 - u) = -q(u)
-        mirrored = admissible_quantile(1.0 - u, g)
-        assert np.allclose(mirrored, -z, rtol=1e-9, atol=1e-9)
+def test_admissible_sampler_matches_reference_cdf(admissible_reference_cdf):
+    for seed, g in enumerate((1.05, 1.5, 3.0, 5.0, 20.0, 100.0)):
+        p = AdmissibleNoiseParams(g, 1.0)
+        draws = sample_admissible(p, RandomSource(seed), 250_000)
+        assert np.all(np.isfinite(draws))
+        # a zero draw would release the exact value; a plain ratio of gamma
+        # draws gives about 640 per 1e6 at gamma = 100
+        assert not np.any(draws == 0.0)
+        ks = stats.kstest(draws, lambda x: admissible_reference_cdf(x, g)).statistic
+        assert ks < 0.005, (g, ks)
+        one = sample_admissible(p, RandomSource(seed))
+        assert isinstance(one, float)
+        assert one == sample_admissible(p, RandomSource(seed))
+        assert np.array_equal(draws, sample_admissible(p, RandomSource(seed), 250_000))
 
 
-def test_admissible_known_quantiles():
-    # 97.5% point of the unit gamma=3 shape, cross-checked by quadrature elsewhere
-    q = float(admissible_quantile(0.975, 3.0))
-    assert q == pytest.approx(2.8516, abs=5e-3)
-    assert float(admissible_quantile(0.5, 3.0)) == pytest.approx(0.0, abs=1e-12)
-    assert float(admissible_quantile(0.975, 2.0)) == pytest.approx(math.tan(0.475 * math.pi))
+def test_cauchy_draws_keep_the_tan_transform():
+    p = AdmissibleNoiseParams(2.0, 3.5)
+    u = RandomSource(4).uniforms(10_000)
+    draws = sample_admissible(p, RandomSource(4), 10_000)
+    assert np.array_equal(draws, 3.5 * np.tan(np.pi * (u - 0.5)))
+    u1 = RandomSource(4).uniforms()
+    assert sample_admissible(p, RandomSource(4)) == 3.5 * np.tan(np.pi * (u1 - 0.5))
 
 
 def test_admissible_pdf_normalizes():
