@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -145,6 +146,11 @@ class BudgetLedger:
     epsilons. Nothing composes in parallel: under the modify-one-record
     neighbor relation a split of the data chosen per query does not qualify.
 
+    The ledger keeps the exact running total as Shewchuk's non-overlapping
+    partials (the algorithm behind math.fsum), so a charge costs O(1)
+    amortized however many entries the session holds, and spent() is the
+    correctly rounded exact sum: bit for bit math.fsum of the entries.
+
     charge is check-then-append under a lock, so concurrent sessions can
     share a ledger; a rejected charge leaves the ledger unchanged.
     """
@@ -155,6 +161,7 @@ class BudgetLedger:
         self.total_budget = float(total_budget)
         self._lock = threading.Lock()
         self._entries = [LedgerEntry(str(e.query), float(e.epsilon)) for e in entries]
+        self._partials = _add_partials([], (e.epsilon for e in self._entries))
         if self.spent() > self.total_budget:
             raise BudgetExceededError(
                 f"entries already spend {self.spent()}, over the budget {self.total_budget}"
@@ -165,7 +172,7 @@ class BudgetLedger:
         return tuple(self._entries)
 
     def spent(self) -> float:
-        return _spent(self._entries)
+        return math.fsum(self._partials)
 
     def remaining(self) -> float:
         return self.total_budget - self.spent()
@@ -174,18 +181,23 @@ class BudgetLedger:
         return self.charge_many([LedgerEntry(query, epsilon)])
 
     def charge_many(self, new_entries: list[LedgerEntry]) -> "BudgetLedger":
-        """Atomically append all entries or none."""
+        """Atomically append all entries or none, at O(1) amortized cost per entry.
+
+        Raises BudgetExceededError when the exact total would pass the budget
+        or would not be representable as a float.
+        """
         for e in new_entries:
             if not (e.epsilon > 0 and math.isfinite(e.epsilon)):
                 raise PreconditionError(f"charged epsilon must be positive, got {e.epsilon}")
         with self._lock:
-            candidate = self._entries + list(new_entries)
-            would_spend = _spent(candidate)
+            partials = _add_partials(self._partials, (float(e.epsilon) for e in new_entries))
+            would_spend = math.fsum(partials)
             if would_spend > self.total_budget:
                 raise BudgetExceededError(
                     f"charge would spend {would_spend} of budget {self.total_budget}"
                 )
-            self._entries = candidate
+            self._entries.extend(new_entries)
+            self._partials = partials
         return self
 
     def __eq__(self, other) -> bool:
@@ -200,17 +212,53 @@ class BudgetLedger:
         )
 
 
-def _spent(entries) -> float:
-    return math.fsum(e.epsilon for e in entries)
+def _add_partials(partials: list[float], values) -> list[float]:
+    """Return new non-overlapping partials whose exact sum is sum(partials) + sum(values).
+
+    Shewchuk's grow-expansion (DCG 1997), as in math.fsum: each step is an
+    exact two-sum, so no rounding is lost. The input list is not modified.
+    All ledger values are positive, so a two-sum that overflows means the
+    exact total is past the largest float; that total is refused.
+    """
+    partials = list(partials)
+    for x in values:
+        i = 0
+        for y in partials:
+            if abs(x) < abs(y):
+                x, y = y, x
+            hi = x + y
+            lo = y - (hi - x)
+            if lo:
+                partials[i] = lo
+                i += 1
+            x = hi
+        if math.isinf(x):  # an overflowed two-sum stays infinite to the end
+            raise BudgetExceededError("the exact epsilon total would pass the largest float")
+        partials[i:] = [x]
+    return partials
 
 
 def save_session(ledger: BudgetLedger, path: str | Path) -> None:
+    """Write the ledger as compact JSON by atomic replace.
+
+    The document goes to a temporary file beside the target, which then
+    replaces it in one rename, so a crash leaves either the old session or
+    the new one, never a torn file. Indented files written before still load.
+    """
+    path = Path(path)
     doc = {
         "version": 1,
         "total_budget": ledger.total_budget,
         "entries": [{"query": e.query, "epsilon": e.epsilon} for e in ledger.entries],
     }
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    # one temporary file per writing thread, so concurrent saves never share one
+    tmp = path.with_name(f".{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
+    try:
+        tmp.write_text(json.dumps(doc) + "\n", encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_session(path: str | Path) -> BudgetLedger:

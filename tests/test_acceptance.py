@@ -228,7 +228,7 @@ def test_ledger_matches_reference_model():
                 rejected += 1
                 assert len(ledger.entries) == before
             charges += 1
-            assert ledger.spent() == pytest.approx(math.fsum(accepted), abs=1e-12)
+            assert ledger.spent() == math.fsum(accepted)
             assert ledger.spent() <= budget
     _verdict(
         "ledger vs reference model over random charge sequences",

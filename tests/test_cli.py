@@ -59,6 +59,14 @@ def test_answer_accumulates_until_budget_runs_out(data_csv, tmp_path, capsys):
     assert load_session(session).spent() == pytest.approx(0.9)
 
 
+def test_answer_refuses_a_spend_past_the_largest_float(data_csv, tmp_path, capsys):
+    session = tmp_path / "session.json"
+    assert main(_answer_args(data_csv, session, epsilon="1e308", budget="inf")) == 0
+    assert main(_answer_args(data_csv, session, epsilon="1e308")) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert load_session(session).spent() == 1e308
+
+
 def test_answer_is_reproducible_for_a_seed(data_csv, tmp_path, capsys):
     first = tmp_path / "a.json"
     second = tmp_path / "b.json"

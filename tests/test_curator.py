@@ -2,7 +2,10 @@
 
 import json
 import math
+import os
 import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -333,8 +336,64 @@ def test_ledger_spent_model_randomized():
                 accepted.append(eps)
             except BudgetExceededError:
                 pass
-            assert ledger.spent() == pytest.approx(math.fsum(accepted), abs=1e-12)
+            assert ledger.spent() == math.fsum(accepted)
             assert ledger.spent() <= 5.0
+
+
+@pytest.mark.parametrize("values, budget", [
+    # a plain running += loses each 1.0 against 1e16 (half an ulp, ties to even)
+    ([1e16] + [1.0] * 12 + [1e-17] * 5 + [3.0], 1e16 + 8.0),
+    # the 0.1 series: ten of them sum to exactly 1.0, a running += to 0.9999999999999999
+    ([0.1] * 14, 1.0),
+    # subnormals next to normal epsilons, and past the budget
+    ([1e-310, 5e-324, 0.5, 1e-310, 1e-17, 2.2250738585072014e-308, 0.5, 1e-310, 0.1], 1.0),
+    ([1e-310] * 6 + [1e16, 1.0, 1.0, 1e-17, 0.1, 1.0, 1.0], 1e16 + 2.0),
+])
+def test_ledger_spent_is_the_exact_sum_after_every_charge(values, budget):
+    ledger = BudgetLedger(budget)
+    accepted, rejected = [], 0
+    for eps in values:
+        try:
+            ledger.charge(eps)
+            accepted.append(eps)
+        except BudgetExceededError:
+            rejected += 1
+        assert ledger.spent() == math.fsum(accepted)
+        assert ledger.remaining() == budget - math.fsum(accepted)
+        assert ledger.spent() <= budget
+    assert rejected and len(accepted) == len(ledger.entries)
+    assert BudgetLedger(budget, ledger.entries).spent() == ledger.spent()
+
+
+@pytest.mark.parametrize("budget", [math.inf, 1.7976931348623157e308])
+def test_ledger_refuses_a_total_past_the_largest_float(budget):
+    ledger = BudgetLedger(budget).charge(1e308)
+    with pytest.raises(BudgetExceededError):
+        ledger.charge(1e308)
+    with pytest.raises(BudgetExceededError):
+        ledger.charge_many([LedgerEntry("q", 1.0), LedgerEntry("q", 1.7e308)])
+    assert ledger.entries == (LedgerEntry("", 1e308),)
+    assert ledger.spent() == 1e308
+    ledger.charge(1e307)  # the ledger still takes a charge that fits
+    assert ledger.spent() == 1.1e308
+    with pytest.raises(BudgetExceededError):
+        BudgetLedger(math.inf, [LedgerEntry("q", 1e308)] * 2)
+
+
+def test_ledger_charges_take_linear_time():
+    # linear cost gives a ratio near 4 for 4x the charges, quadratic near 16
+    def best_of_three(k):
+        times = []
+        for _ in range(3):
+            ledger = BudgetLedger(math.inf)
+            start = time.perf_counter()
+            for _ in range(k):
+                ledger.charge(0.1)
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    ratio = best_of_three(80_000) / best_of_three(20_000)
+    assert ratio < 8.0, f"4x the charges took {ratio:.1f}x the time"
 
 
 # ---------------------------------------------------------------------------
@@ -353,6 +412,55 @@ def test_session_round_trip(tmp_path):
     loaded = load_session(path)
     assert loaded == ledger
     assert loaded.spent() == pytest.approx(0.75)
+
+
+def test_session_file_is_compact_and_indented_files_still_load(tmp_path):
+    ledger = BudgetLedger(2.0).charge(0.5, query="median").charge(0.1, query="max")
+    doc = {
+        "version": 1,
+        "total_budget": 2.0,
+        "entries": [{"query": "median", "epsilon": 0.5}, {"query": "max", "epsilon": 0.1}],
+    }
+    path = tmp_path / "session.json"
+    save_session(ledger, path)
+    assert path.read_text(encoding="utf-8") == json.dumps(doc) + "\n"
+
+    indented = tmp_path / "indented.json"
+    indented.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    assert load_session(indented) == ledger
+
+
+def _torn_write(real_write_text):
+    def write_text(self, data, *args, **kwargs):
+        real_write_text(self, data[: len(data) // 2], *args, **kwargs)
+        raise OSError("disk full")
+    return write_text
+
+
+def _failing_replace(src, dst):
+    raise OSError("rename failed")
+
+
+@pytest.mark.parametrize("fault", ["torn_write", "failed_replace"])
+def test_failed_save_keeps_the_previous_session(tmp_path, monkeypatch, fault):
+    path = tmp_path / "session.json"
+    ledger = BudgetLedger(2.0).charge(0.5, query="median")
+    save_session(ledger, path)
+    before = load_session(path)
+    ledger.charge(0.25, query="max")
+
+    if fault == "torn_write":
+        monkeypatch.setattr(Path, "write_text", _torn_write(Path.write_text))
+    else:
+        monkeypatch.setattr(os, "replace", _failing_replace)
+    with pytest.raises(OSError):
+        save_session(ledger, path)
+    monkeypatch.undo()
+
+    assert load_session(path) == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["session.json"]
+    save_session(ledger, path)
+    assert load_session(path) == ledger
 
 
 def test_session_with_old_tagged_entries_counts_every_entry(tmp_path):
