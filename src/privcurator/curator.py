@@ -152,7 +152,8 @@ class BudgetLedger:
     correctly rounded exact sum: bit for bit math.fsum of the entries.
 
     charge is check-then-append under a lock, so concurrent sessions can
-    share a ledger; a rejected charge leaves the ledger unchanged.
+    share a ledger; a rejected charge leaves the ledger unchanged. Entries
+    given at construction pass the same positive-and-finite check as charges.
     """
 
     def __init__(self, total_budget: float, entries=()):
@@ -160,7 +161,7 @@ class BudgetLedger:
             raise PreconditionError(f"total budget must be >= 0, got {total_budget}")
         self.total_budget = float(total_budget)
         self._lock = threading.Lock()
-        self._entries = [LedgerEntry(str(e.query), float(e.epsilon)) for e in entries]
+        self._entries = _checked_entries(entries)
         self._partials = _add_partials([], (e.epsilon for e in self._entries))
         if self.spent() > self.total_budget:
             raise BudgetExceededError(
@@ -186,11 +187,9 @@ class BudgetLedger:
         Raises BudgetExceededError when the exact total would pass the budget
         or would not be representable as a float.
         """
-        for e in new_entries:
-            if not (e.epsilon > 0 and math.isfinite(e.epsilon)):
-                raise PreconditionError(f"charged epsilon must be positive, got {e.epsilon}")
+        new_entries = _checked_entries(new_entries)
         with self._lock:
-            partials = _add_partials(self._partials, (float(e.epsilon) for e in new_entries))
+            partials = _add_partials(self._partials, (e.epsilon for e in new_entries))
             would_spend = math.fsum(partials)
             if would_spend > self.total_budget:
                 raise BudgetExceededError(
@@ -210,6 +209,23 @@ class BudgetLedger:
             f"BudgetLedger(total_budget={self.total_budget}, "
             f"spent={self.spent()}, entries={len(self._entries)})"
         )
+
+
+def _checked_entries(entries) -> list[LedgerEntry]:
+    """Entries with a str query and a positive, finite float epsilon.
+
+    An entry already of that shape is kept as it is; any other is rebuilt
+    with its fields coerced. A NaN or non-positive epsilon would poison the
+    exact total, so it is refused here, whether charged or loaded.
+    """
+    checked = []
+    for e in entries:
+        if type(e) is not LedgerEntry or type(e.query) is not str or type(e.epsilon) is not float:
+            e = LedgerEntry(str(e.query), float(e.epsilon))
+        if not (e.epsilon > 0 and math.isfinite(e.epsilon)):
+            raise PreconditionError(f"charged epsilon must be positive, got {e.epsilon}")
+        checked.append(e)
+    return checked
 
 
 def _add_partials(partials: list[float], values) -> list[float]:

@@ -9,6 +9,7 @@ uncomputable when a side of the domain is unbounded.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -124,8 +125,50 @@ def load_csv(path: str | Path, bounds: DomainBounds) -> Dataset:
 
     An optional header line is detected by a non-numeric first token. Parse
     failures and bound violations report the 1-based physical row number.
+
+    numpy's C text reader parses the file. Its result is kept only when it
+    is one column of at least one row with every value inside the bounds;
+    any other file goes through the per-line loop, which writes every error
+    message, so messages and row numbers are those of the loop alone. Both
+    paths parse a value to the same float as float().
     """
     path = Path(path)
+    values = _parse_with_numpy(path, bounds)
+    if values is None:
+        return _load_csv_lines(path, bounds)
+    return Dataset(values, bounds, name=path.name)
+
+
+def _parse_with_numpy(path: Path, bounds: DomainBounds) -> np.ndarray | None:
+    """The file's values as parsed by np.loadtxt, or None to defer to the loop."""
+    try:
+        with path.open(encoding="utf-8") as fh:
+            first = fh.readline()
+        try:
+            float(first.strip())
+            header = False
+        except ValueError:
+            # a header is skipped only when the loop would also see it as one
+            # whole line; a blank first line or one that str.splitlines breaks
+            # in two (at \x0b, \x1c, ...) is read as data and so fails below
+            header = bool(first.strip()) and len(first.splitlines()) == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # empty input
+            table = np.loadtxt(path, dtype=np.float64, comments=None,
+                               skiprows=int(header), ndmin=2, encoding="utf-8")
+    except ValueError:
+        return None
+    if table.shape[1] != 1 or table.shape[0] == 0:
+        return None
+    values = table.reshape(-1)
+    # elementwise, so that a NaN elsewhere does not hide an out-of-bounds row
+    if np.any((values < bounds.lower) | (values > bounds.upper)):
+        return None
+    return values
+
+
+def _load_csv_lines(path: Path, bounds: DomainBounds) -> Dataset:
+    """The per-line loader: the reference semantics and every error message."""
     lines = path.read_text(encoding="utf-8").splitlines()
     rows = [(i + 1, line.strip()) for i, line in enumerate(lines) if line.strip()]
     if not rows:

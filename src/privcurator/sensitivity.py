@@ -287,7 +287,7 @@ def group_local_sensitivity(d: Dataset, q: QuerySpec, g: int) -> GroupSensitivit
         entries = [float(min(i, max(c, n - c))) for i in range(1, g + 1)]
     else:
         counts = evaluate(d, q)
-        worst = int(max(max(int(c), n - int(c)) for c in counts))
+        worst = max(int(counts.max()), n - int(counts.min()))
         entries = [min(2, q.n_bins) * min(i, worst) for i in range(1, g + 1)]
 
     return GroupSensitivity(tuple(entries))

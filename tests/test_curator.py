@@ -302,6 +302,20 @@ def test_ledger_rejects_bad_epsilon_and_budget():
         BudgetLedger(0.5, [LedgerEntry("q", 0.6)])
 
 
+@pytest.mark.parametrize("eps", [0.0, -100.0, math.nan, math.inf, -math.inf])
+def test_ledger_entries_are_checked_at_construction(eps):
+    with pytest.raises(PreconditionError):
+        BudgetLedger(math.inf, [LedgerEntry("q", 0.5), LedgerEntry("q", eps)])
+
+
+def test_ledger_keeps_well_typed_entries_and_coerces_the_rest():
+    kept = LedgerEntry("median", 0.5)
+    ledger = BudgetLedger(2.0, [kept, LedgerEntry(7, np.float64(0.25)), LedgerEntry("max", 1)])
+    assert ledger.entries[0] is kept
+    assert ledger.entries[1:] == (LedgerEntry("7", 0.25), LedgerEntry("max", 1.0))
+    assert all(type(e.query) is str and type(e.epsilon) is float for e in ledger.entries)
+
+
 def test_ledger_concurrent_charges_never_overspend():
     ledger = BudgetLedger(10.0)
     accepted = []
@@ -489,6 +503,18 @@ def test_session_with_old_tagged_entries_counts_every_entry(tmp_path):
     }), encoding="utf-8")
     with pytest.raises(SessionError, match="budget"):
         load_session(over)
+
+
+@pytest.mark.parametrize("bad", ["NaN", "-100", "0"])
+def test_session_with_a_bad_epsilon_is_refused(tmp_path, bad):
+    # json.loads accepts NaN; a NaN total would let every later charge through
+    path = tmp_path / "session.json"
+    path.write_text('{"version": 1, "total_budget": 1.0, "entries": '
+                    f'[{{"query": "median", "epsilon": {bad}}}]}}', encoding="utf-8")
+    with pytest.raises(SessionError, match="positive"):
+        ledger = load_session(path)
+        for _ in range(5):
+            ledger.charge(0.9, query="median")
 
 
 def test_session_round_trip_infinite_budget(tmp_path):

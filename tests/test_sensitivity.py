@@ -195,6 +195,10 @@ def _ref_smooth(d, q, beta):
 def _ref_group(d, q, g):
     pad = _ref_padded(d)
     n = d.n
+    if q.kind == "histogram":
+        counts = np.histogram(d.values, np.asarray(q.edges))[0]
+        worst = max(max(int(c), n - int(c)) for c in counts)
+        return tuple(min(2, q.n_bins) * min(i, worst) for i in range(1, g + 1))
     upper = d.bounds.upper
     top, runner_up = float(pad[n]), float(pad[n - 1])
     if q.kind == "median":
@@ -234,3 +238,7 @@ def test_sensitivities_equal_the_plain_reference():
                 assert smooth_sensitivity(d, q, beta) == _ref_smooth(d, q, beta), (d.n, q, beta)
             if d.n >= 3:
                 assert group_local_sensitivity(d, q, 6).per_distance == _ref_group(d, q, 6), (d.n, q)
+        for bins in (10, 100):
+            q = QuerySpec.histogram(np.linspace(d.bounds.lower, d.bounds.upper, bins + 1).tolist())
+            for g in (1, 4):
+                assert group_local_sensitivity(d, q, g).per_distance == _ref_group(d, q, g), (d.n, bins, g)
