@@ -101,8 +101,12 @@ def _cmd_answer(args) -> int:
     )
     session = Path(args.session)
     ledger = load_session(session) if session.exists() else BudgetLedger(args.budget)
-    out = answer(d, q, cfg, RandomSource(args.seed), ledger)
-    save_session(ledger, session)
+    spent = ledger.spent()
+    try:
+        out = answer(d, q, cfg, RandomSource(args.seed), ledger)
+    finally:
+        if ledger.spent() != spent:  # charged, even when the release was then refused
+            save_session(ledger, session)
     print(json.dumps(out.to_json_dict(), indent=2))
     return 0
 

@@ -377,6 +377,14 @@ def answer(
     infinite sensitivity leaves both the ledger and the noise stream intact.
     Every answer, a histogram included, is one release and one ledger entry
     of epsilon.
+
+    A noisy value that is not finite is refused with ConfigError, and its
+    charge stays spent. It happens when the heavy-tailed dp_smooth noise
+    overflows the float range (gamma close to 1 draws Z = +-inf about once in
+    a thousand at gamma = 1.01). The refusal is a function of the value that
+    would have been published, so it reveals nothing beyond what publishing
+    +-inf would; where Z itself is infinite the event depends on the draw
+    alone, not on the data or the noise scale.
     """
     cal = calibrate(d, q, cfg)
     ledger.charge(cfg.epsilon, q.to_string())
@@ -405,6 +413,13 @@ def _sample_value(cal: Calibration, rng: RandomSource):
         noise = sample_admissible(AdmissibleNoiseParams(cal.gamma, cal.param), rng, size)
 
     noisy = cal.value + noise
+    if vector:  # int64 counts under discrete noise are always finite
+        finite = noisy.dtype.kind != "f" or bool(np.isfinite(noisy).all())
+    else:
+        finite = math.isfinite(noisy)
+    if not finite:
+        raise ConfigError("the noisy value overflowed to a non-finite value and is refused; "
+                          "its epsilon stays spent")
     if vector:
         return noisy.tolist()  # int64 counts stay ints under discrete noise
     return int(noisy) if isinstance(noise, int) else float(noisy)

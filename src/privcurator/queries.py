@@ -46,14 +46,16 @@ class QuerySpec:
             if self.lo > self.hi:
                 raise QueryError(f"range_count needs lo <= hi, got [{self.lo}, {self.hi}]")
         elif self.kind == HISTOGRAM:
-            if self.edges is None or len(self.edges) < 2:
+            # one float64 pass converts and checks every edge; a non-numeric
+            # edge raises ValueError here
+            edges = np.asarray(() if self.edges is None else self.edges, dtype=np.float64)
+            if edges.ndim != 1 or edges.size < 2:
                 raise QueryError("histogram needs at least 2 edges")
-            edges = tuple(float(e) for e in self.edges)
-            if not all(np.isfinite(edges)):
+            if not np.isfinite(edges).all():
                 raise QueryError("histogram edges must be finite")
-            if any(a >= b for a, b in zip(edges, edges[1:])):
+            if not (edges[:-1] < edges[1:]).all():
                 raise QueryError("histogram edges must be strictly increasing")
-            object.__setattr__(self, "edges", edges)
+            object.__setattr__(self, "edges", tuple(edges.tolist()))
         else:
             if self.lo is not None or self.hi is not None or self.edges is not None:
                 raise QueryError(f"{self.kind} takes no parameters")
@@ -78,7 +80,7 @@ class QuerySpec:
 
     @classmethod
     def histogram(cls, edges) -> "QuerySpec":
-        return cls(HISTOGRAM, edges=tuple(float(e) for e in edges))
+        return cls(HISTOGRAM, edges=edges if hasattr(edges, "__len__") else list(edges))
 
     @classmethod
     def parse(cls, text: str) -> "QuerySpec":

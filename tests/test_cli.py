@@ -67,6 +67,22 @@ def test_answer_refuses_a_spend_past_the_largest_float(data_csv, tmp_path, capsy
     assert load_session(session).spent() == 1e308
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
+def test_answer_refuses_a_non_finite_release_and_keeps_the_charge(tmp_path, capsys):
+    # dp_smooth at gamma = 1.01 draws -inf at these seeds; the CLI must not
+    # print "-Infinity", which is not JSON, and the spent epsilon stays recorded
+    data = tmp_path / "five.csv"
+    data.write_text("0.1\n0.3\n0.5\n0.7\n0.9\n", encoding="utf-8")
+    session = tmp_path / "session.json"
+    for i, seed in enumerate(("690", "979", "1616"), start=1):
+        argv = _answer_args(data, session, regime="dp-smooth", gamma="1.01", seed=seed, budget="10")
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "non-finite" in captured.err
+        assert load_session(session).spent() == pytest.approx(0.5 * i)
+
+
 def test_answer_is_reproducible_for_a_seed(data_csv, tmp_path, capsys):
     first = tmp_path / "a.json"
     second = tmp_path / "b.json"

@@ -228,6 +228,25 @@ def test_answer_failure_leaves_ledger_untouched():
     assert ledger.spent() == pytest.approx(0.8)
 
 
+# dp_smooth noise at gamma = 1.01 overflows to -inf at these seeds on the
+# five-value median example
+OVERFLOW_SEEDS = (690, 979, 1616)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
+def test_answer_refuses_a_non_finite_release_and_keeps_the_charge():
+    d = _d([0.1, 0.3, 0.5, 0.7, 0.9])
+    cfg = MechanismConfig("dp_smooth", 0.5, gamma=1.01)
+    ledger = BudgetLedger(10.0)
+    for i, seed in enumerate(OVERFLOW_SEEDS, start=1):
+        with pytest.raises(ConfigError, match="non-finite"):
+            answer(d, QuerySpec.median(), cfg, RandomSource(seed), ledger)
+        assert len(ledger.entries) == i
+        assert ledger.spent() == pytest.approx(0.5 * i)
+    # a neighboring seed draws a finite value and releases it
+    assert math.isfinite(answer(d, QuerySpec.median(), cfg, RandomSource(1), ledger).value)
+
+
 def test_answer_json_shape():
     d = _d([0.0, 0.0, 0.0, 0.0, 1.0])
     out = answer(d, QuerySpec.median(), MechanismConfig("dp_smooth", 1.0, gamma=3.0),

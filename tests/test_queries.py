@@ -40,6 +40,27 @@ def test_spec_validation():
     assert QuerySpec.range_count(2, 2).lo == 2.0
 
 
+def test_histogram_spec_errors_and_edge_types():
+    for edges in ([], [1.0]):
+        with pytest.raises(QueryError, match="at least 2 edges"):
+            QuerySpec.histogram(edges)
+    for edges in ([0.0, float("nan"), 1.0], [0.0, float("inf")], [-float("inf"), 0.0]):
+        with pytest.raises(QueryError, match="must be finite"):
+            QuerySpec.histogram(edges)
+    for edges in ([0.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 0.0]):
+        with pytest.raises(QueryError, match="strictly increasing"):
+            QuerySpec.histogram(edges)
+    with pytest.raises(ValueError):
+        QuerySpec.histogram(["a", "b"])
+    # edges are stored as a tuple of Python floats, whatever the input type
+    for given in (np.linspace(0.0, 1.0, 5), [0, 0.25, 0.5, 0.75, 1], (x / 4 for x in range(5))):
+        q = QuerySpec.histogram(given)
+        assert q.edges == (0.0, 0.25, 0.5, 0.75, 1.0)
+        assert all(type(e) is float for e in q.edges)
+        assert q.to_string() == "hist:0,0.25,0.5,0.75,1"
+    assert QuerySpec("histogram", edges=[0, 1]) == QuerySpec.histogram([0.0, 1.0])
+
+
 def test_shape_helpers():
     assert QuerySpec.median().integer_valued is False
     assert QuerySpec.range_count(0, 1).integer_valued is True

@@ -1,6 +1,7 @@
 """Closed-form sensitivity calculators: worked values and structural properties."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -212,6 +213,18 @@ def _ref_group(d, q, g):
                      runner_up - _ref_stat(pad, n - i - 1)) for i in range(1, g + 1))
 
 
+def _geometric(n, ratio, toward_top):
+    # gaps growing by ratio per step away from the median (or toward the top),
+    # scaled onto [-1, 3]
+    steps = ratio ** np.arange(n)
+    if toward_top:
+        x = np.cumsum(steps)
+    else:
+        half = n // 2
+        x = np.concatenate((-np.cumsum(steps[:half])[::-1], [0.0], np.cumsum(steps[: n - half - 1])))
+    return Dataset(-1.0 + 4.0 * (x - x[0]) / (x[-1] - x[0] or 1.0), DomainBounds(-1.0, 3.0))
+
+
 def _reference_datasets():
     rng = np.random.default_rng(77)
     bounds = DomainBounds(-1.0, 3.0)
@@ -224,17 +237,23 @@ def _reference_datasets():
         piled[: n // 10] = rng.uniform(-1.0, 3.0, n // 10)
         yield Dataset(piled, bounds)
         yield Dataset(np.full(n, 3.0), bounds)  # all at max(Dom)
+        yield Dataset(np.linspace(-1.0, 3.0, n), bounds)  # evenly spaced
+        # adversarial spacing: no k before the peak term is skipped
+        for ratio in (1.0005, 1.01):
+            yield _geometric(n, ratio, toward_top=False)
+            yield _geometric(n, ratio, toward_top=True)
 
 
 def test_sensitivities_equal_the_plain_reference():
-    # the oracle enumerates n <= 7 only, so the window and skip logic of the
-    # smooth median are pinned here, bit for bit
+    # the oracle enumerates n <= 7 only, so the block, skip and pair-search
+    # logic of the smooth sensitivities are pinned here, bit for bit; beta =
+    # 1e-4 runs the scans to k = n or close
     order_qs = (QuerySpec.median(), QuerySpec.maximum(), QuerySpec.second_maximum())
     for d in _reference_datasets():
         for q in order_qs:
             if q.kind == "second_maximum" and d.n < 3:
                 continue
-            for beta in (1e-3, 0.033, 0.5, 3.0):
+            for beta in (1e-4, 1e-3, 0.033, 0.5, 3.0):
                 assert smooth_sensitivity(d, q, beta) == _ref_smooth(d, q, beta), (d.n, q, beta)
             if d.n >= 3:
                 assert group_local_sensitivity(d, q, 6).per_distance == _ref_group(d, q, 6), (d.n, q)
@@ -242,3 +261,67 @@ def test_sensitivities_equal_the_plain_reference():
             q = QuerySpec.histogram(np.linspace(d.bounds.lower, d.bounds.upper, bins + 1).tolist())
             for g in (1, 4):
                 assert group_local_sensitivity(d, q, g).per_distance == _ref_group(d, q, g), (d.n, bins, g)
+
+
+# stop indices on, just before and just after the scans' block edges: a scan
+# whose first term is 0 ends its first block at k = 32 and, while its terms
+# stay 0, grows 16-fold, to k = 512; other blocks end where the best so far
+# says the stop must come, which the beta sweep below moves across every k
+EDGE_STOPS = sorted(set(range(1, 70)) | {k + e for k in (512, 1024) for e in (-2, -1, 0, 1, 2)})
+
+
+def test_sensitivities_equal_the_reference_at_block_edges():
+    # max, max2: m records at max(Dom) above min(Dom); every term is 0 until
+    # k reaches under them, so for any beta the scan stops at k = m (max) or
+    # k = m - 1 (max2)
+    for m in EDGE_STOPS:
+        d = _d([0.0] * 5 + [1.0] * m)
+        for q in (QuerySpec.maximum(), QuerySpec.second_maximum()):
+            for beta in (1e-4, 0.05):
+                assert smooth_sensitivity(d, q, beta) == _ref_smooth(d, q, beta), (m, q, beta)
+    # median inside a run of b ties between single values at the domain edges:
+    # the first positive term comes at the middle of the run, the full-span
+    # gap at k = b, and at beta = ln 2 / (b + 1) the scan stops at k = b + 1
+    for stop in EDGE_STOPS:
+        b = stop - 1
+        if b < 1:
+            continue
+        low, high = (1, 1) if b % 2 else (1, 2)
+        d = _d([0.0] * low + [0.5] * b + [1.0] * high)
+        for beta in (math.log(2.0) / (b + 1), 0.5 / (b + 1), 1e-4):
+            assert smooth_sensitivity(d, QuerySpec.median(), beta) == \
+                _ref_smooth(d, QuerySpec.median(), beta), (b, beta)
+    # evenly spaced data under a fine beta grid: the stop index sweeps
+    # through every block edge up to n
+    d = Dataset(np.linspace(0.0, 1.0, 2001), B01)
+    for beta in 0.5 * 1.07 ** -np.arange(90):
+        for q in (QuerySpec.median(), QuerySpec.maximum(), QuerySpec.second_maximum()):
+            assert smooth_sensitivity(d, q, beta) == _ref_smooth(d, q, beta), (q, beta)
+
+
+def test_smooth_decays_come_from_math_exp():
+    # S(D) of the maximum here is exactly the decay at k = 36, where np.exp
+    # and math.exp round differently; a result built from np.exp decays fails
+    beta = 0.1 / 3
+    assert np.exp(-beta * np.arange(37))[-1] != math.exp(-beta * 36), "np.exp agrees here"
+    d = Dataset(np.array([0.0] * 5 + [1.0] * 37), DomainBounds(0, 1))
+    assert smooth_sensitivity(d, QuerySpec.maximum(), beta) == math.exp(-beta * 36)
+
+
+def test_smooth_sensitivity_grows_near_linearly_in_the_stop_index():
+    # On evenly spaced data no k before the peak term (k ~ 1/beta) is skipped,
+    # and beta / 4 puts the stop index about 4x as far: O(K log K) work takes
+    # about 4-5x the time, a median paying O(k) per k about 16x.
+    d = Dataset(np.linspace(0.0, 1.0, 400_001), B01)
+
+    def best_of_three(q, beta):
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            smooth_sensitivity(d, q, beta)
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    for q in (QuerySpec.median(), QuerySpec.maximum()):
+        ratio = best_of_three(q, 2.5e-5) / best_of_three(q, 1e-4)
+        assert ratio < 8.0, f"{q.kind}: beta / 4 took {ratio:.1f}x the time"
