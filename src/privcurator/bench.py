@@ -2,7 +2,9 @@
 
 Every runner returns plain row dictionaries ready for csv.DictWriter, so the
 CLI stays a thin wrapper and tests can assert on the numbers directly. Rows
-are deterministic for a fixed seed.
+are deterministic for a fixed seed: the error grid derives three independent
+streams per cell from (seed, cell index), one for the data and one per
+regime's noise, and the trials of the cell continue those streams.
 """
 
 from __future__ import annotations
@@ -124,7 +126,11 @@ def run_error_grid(plan: ExperimentPlan) -> list[dict]:
     """Mean absolute error of the noisy median per (distribution, n, epsilon) cell.
 
     Each trial draws a fresh dataset (bounds recomputed per draw for the
-    unbounded-support distributions) and both regimes answer the same data.
+    unbounded-support distributions) and both regimes answer the same data,
+    each with a fresh ledger. A cell seeds three independent streams once,
+    spawned from SeedSequence((plan.seed, cell index)): a Generator that every
+    trial's dataset is drawn from, and one RandomSource per regime that every
+    trial's release draws its noise from. Within a cell the trials are i.i.d.
     Even plan sizes drop to the nearest odd size so the median is defined;
     the CSV reports the size actually used.
     """
@@ -132,19 +138,20 @@ def run_error_grid(plan: ExperimentPlan) -> list[dict]:
     cells = list(product(plan.distributions, plan.sizes, plan.epsilons))
     for ci, (dist, size, eps) in enumerate(cells):
         n = size if size % 2 == 1 else size - 1
+        data_seq, local_seq, smooth_seq = np.random.SeedSequence((plan.seed, ci)).spawn(3)
+        data_rng = np.random.default_rng(data_seq)
         regimes = (
-            ("idp_local", MechanismConfig("idp_local", eps)),
-            ("dp_smooth", MechanismConfig("dp_smooth", eps, gamma=plan.gamma)),
+            ("idp_local", MechanismConfig("idp_local", eps), RandomSource(local_seq)),
+            ("dp_smooth", MechanismConfig("dp_smooth", eps, gamma=plan.gamma), RandomSource(smooth_seq)),
         )
-        errors: dict[str, list[float]] = {regime: [] for regime, _ in regimes}
-        for t in range(plan.trials):
-            d = synthesize(dist, n, _sub_seed(plan.seed, ci, t, 0))
+        errors: dict[str, list[float]] = {regime: [] for regime, _, _ in regimes}
+        for _ in range(plan.trials):
+            d = synthesize(dist, n, data_rng)
             true_value = evaluate(d, _MEDIAN)
-            for stream, (regime, cfg) in enumerate(regimes, start=1):
-                rng = RandomSource(np.random.SeedSequence((plan.seed, ci, t, stream)))
+            for regime, cfg, rng in regimes:
                 out = answer(d, _MEDIAN, cfg, rng, BudgetLedger(math.inf))
                 errors[regime].append(abs(out.value - true_value))
-        for regime, _ in regimes:
+        for regime, _, _ in regimes:
             rows.append({
                 "distribution": dist,
                 "n": n,
@@ -154,10 +161,6 @@ def run_error_grid(plan: ExperimentPlan) -> list[dict]:
                 "trials": plan.trials,
             })
     return rows
-
-
-def _sub_seed(seed: int, cell: int, trial: int, stream: int) -> int:
-    return int(np.random.SeedSequence((seed, cell, trial, stream)).generate_state(1)[0])
 
 
 # ---------------------------------------------------------------------------

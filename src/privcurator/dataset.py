@@ -197,8 +197,12 @@ def _load_csv_lines(path: Path, bounds: DomainBounds) -> Dataset:
     return Dataset(np.array(values), bounds, name=path.name)
 
 
-def synthesize(dist: str, n: int, seed: int) -> Dataset:
+def synthesize(dist: str, n: int, seed: int | np.random.Generator) -> Dataset:
     """Draw n i.i.d. values from a named distribution, deterministically.
+
+    An int seed starts a fresh stream, so equal seeds give equal datasets. A
+    Generator is drawn from in place: repeated calls on one Generator give
+    fresh i.i.d. datasets, and its seed fixes the whole sequence.
 
     uniform01 keeps its natural bounds [0, 1]; for standard_normal and
     exponential1 the domain is bounded to [min(sample), max(sample)], which
@@ -220,4 +224,5 @@ def synthesize(dist: str, n: int, seed: int) -> Dataset:
     else:
         values = rng.exponential(1.0, n)
         bounds = DomainBounds(float(values.min()), float(values.max()))
-    return Dataset(values, bounds, name=f"{dist}(n={n},seed={seed})")
+    label = "" if isinstance(seed, np.random.Generator) else f",seed={seed}"
+    return Dataset(values, bounds, name=f"{dist}(n={n}{label})")

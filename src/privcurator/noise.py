@@ -168,12 +168,18 @@ def sample_admissible(p: AdmissibleNoiseParams, rng: RandomSource, size: int | N
     exactly, and one more uniform picks the sign. The ratio is formed from
     log-gammas: both shapes are below 1, where a plain gamma draw can
     underflow to 0.0 and the release would then carry no noise at all.
+
+    For gamma near 1 a draw can exceed the largest float and comes back as
+    +-inf without a warning; the true mass beyond it is that large, and
+    callers that publish a draw must refuse a non-finite one.
     """
     if p.gamma == 2.0:
         z = np.tan(np.pi * (rng.uniforms(size) - 0.5))
     else:
         a = 1.0 / p.gamma
         log_w = rng.log_gammas(a, size) - rng.log_gammas(1.0 - a, size)
-        z = np.copysign(np.exp(log_w / p.gamma), rng.uniforms(size) - 0.5)
+        with np.errstate(over="ignore"):
+            magnitude = np.exp(log_w / p.gamma)
+        z = np.copysign(magnitude, rng.uniforms(size) - 0.5)
     draw = p.scale * z
     return float(draw) if size is None else draw

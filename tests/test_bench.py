@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from privcurator import bench
 from privcurator import (
     ExperimentPlan,
     PreconditionError,
@@ -70,6 +71,24 @@ def test_error_grid_rows_and_reproducibility():
         assert r["mae"] >= 0.0
         assert r["trials"] == 8
     assert rows == run_error_grid(plan)
+
+
+def test_error_grid_seeds_each_cell_once(monkeypatch):
+    # one RandomSource per regime per cell, however many trials the cell runs
+    built = []
+
+    class CountingSource(bench.RandomSource):
+        def __init__(self, seed):
+            built.append(seed)
+            super().__init__(seed)
+
+    monkeypatch.setattr(bench, "RandomSource", CountingSource)
+    for trials in (4, 40):
+        built.clear()
+        plan = ExperimentPlan(distributions=("uniform01",), sizes=(10,),
+                              epsilons=(1.0,), trials=trials, seed=5)
+        assert len(run_error_grid(plan)) == 2
+        assert len(built) == 2
 
 
 def test_error_grid_local_beats_smooth():

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import pytest
@@ -67,19 +68,22 @@ def test_answer_refuses_a_spend_past_the_largest_float(data_csv, tmp_path, capsy
     assert load_session(session).spent() == 1e308
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
 def test_answer_refuses_a_non_finite_release_and_keeps_the_charge(tmp_path, capsys):
     # dp_smooth at gamma = 1.01 draws -inf at these seeds; the CLI must not
-    # print "-Infinity", which is not JSON, and the spent epsilon stays recorded
+    # print "-Infinity", which is not JSON, and the spent epsilon stays recorded.
+    # The refusal is the whole of stderr: no numpy overflow warning before it
     data = tmp_path / "five.csv"
     data.write_text("0.1\n0.3\n0.5\n0.7\n0.9\n", encoding="utf-8")
     session = tmp_path / "session.json"
     for i, seed in enumerate(("690", "979", "1616"), start=1):
         argv = _answer_args(data, session, regime="dp-smooth", gamma="1.01", seed=seed, budget="10")
-        assert main(argv) == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error:") and "non-finite" in captured.err
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:") and "non-finite" in lines[0]
         assert load_session(session).spent() == pytest.approx(0.5 * i)
 
 
@@ -167,6 +171,24 @@ def test_bench_noise_profile_writes_csv(tmp_path, capsys):
         rows = list(csv.DictReader(fh))
     assert set(rows[0]) == {"x", "laplace", "admissible_gamma2", "admissible_gamma3"}
     assert len(rows) > 2000
+
+
+def test_bench_error_grid_writes_reproducible_csv(tmp_path, capsys):
+    def run(seed, name):
+        out = tmp_path / name
+        assert main(["bench", "error-grid", "--trials", "3", "--seed", seed, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == f"wrote 54 rows to {out}\n"
+        return out.read_text(encoding="utf-8")
+
+    first = run("1", "a.csv")
+    rows = list(csv.DictReader(first.splitlines()))
+    assert len(rows) == 54  # 27 cells x 2 regimes
+    assert {r["trials"] for r in rows} == {"3"}
+    assert run("1", "b.csv") == first
+    other = list(csv.DictReader(run("2", "c.csv").splitlines()))
+    assert [r["mae"] for r in other] != [r["mae"] for r in rows]
+    assert [(r["distribution"], r["n"], r["regime"]) for r in other] == \
+        [(r["distribution"], r["n"], r["regime"]) for r in rows]
 
 
 def test_bench_verify_battery(capsys):

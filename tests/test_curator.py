@@ -5,6 +5,7 @@ import math
 import os
 import threading
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -233,13 +234,14 @@ def test_answer_failure_leaves_ledger_untouched():
 OVERFLOW_SEEDS = (690, 979, 1616)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
 def test_answer_refuses_a_non_finite_release_and_keeps_the_charge():
     d = _d([0.1, 0.3, 0.5, 0.7, 0.9])
     cfg = MechanismConfig("dp_smooth", 0.5, gamma=1.01)
     ledger = BudgetLedger(10.0)
     for i, seed in enumerate(OVERFLOW_SEEDS, start=1):
-        with pytest.raises(ConfigError, match="non-finite"):
+        # the overflow is the refusal's cause, not a numerical accident to warn about
+        with warnings.catch_warnings(), pytest.raises(ConfigError, match="non-finite"):
+            warnings.simplefilter("error")
             answer(d, QuerySpec.median(), cfg, RandomSource(seed), ledger)
         assert len(ledger.entries) == i
         assert ledger.spent() == pytest.approx(0.5 * i)

@@ -253,6 +253,26 @@ def test_synthesize_is_deterministic():
         assert not np.array_equal(a.values, synthesize(dist, 11, 8).values)
 
 
+def test_synthesize_int_seed_values_are_pinned():
+    # an int seed starts numpy's default_rng stream; these medians must not move
+    medians = {"uniform01": 0.625095466604667, "standard_normal": -0.2741378553622176,
+               "exponential1": 0.7075292557919215}
+    for dist, median in medians.items():
+        assert synthesize(dist, 5, 7).values[2] == median
+
+
+def test_synthesize_draws_on_from_a_generator():
+    for dist in SYNTH_DISTRIBUTIONS:
+        rng = np.random.default_rng(7)
+        a = synthesize(dist, 11, rng)
+        b = synthesize(dist, 11, rng)
+        assert not np.array_equal(a.values, b.values)
+        # the generator's seed fixes the whole sequence of datasets
+        again = np.random.default_rng(7)
+        assert np.array_equal(a.values, synthesize(dist, 11, again).values)
+        assert np.array_equal(b.values, synthesize(dist, 11, again).values)
+
+
 def test_synthesize_rejects_bad_args():
     with pytest.raises(PreconditionError):
         synthesize("pareto", 5, 0)
