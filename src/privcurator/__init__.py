@@ -5,23 +5,17 @@ mechanisms calibrated to exact sensitivities (global, local, smooth, or a
 per-distance group schedule), with spending tracked by a composable budget
 ledger and the claimed output-ratio bounds checkable by brute force on small
 domains.
+
+The benchmark and oracle names are loaded on first use (PEP 562), so
+importing the package or its CLI does not pay for those modules.
 """
 
-from .bench import (
-    ExperimentPlan,
-    default_profile_grid,
-    run_ci_table,
-    run_error_grid,
-    run_noise_profile,
-    run_verification,
-    write_csv,
-)
+import importlib
+
 from .curator import (
     BudgetLedger,
-    Calibration,
     LedgerEntry,
     MechanismConfig,
-    NoisyAnswer,
     answer,
     calibrate,
     load_session,
@@ -53,18 +47,8 @@ from .noise import (
     sample_discrete_laplace,
     sample_laplace,
 )
-from .oracle import (
-    GridDomain,
-    RatioReport,
-    brute_local_sensitivity,
-    brute_smooth_sensitivity,
-    multiset_distance,
-    verify_ratio_bound,
-)
 from .queries import QuerySpec, evaluate
 from .sensitivity import (
-    GroupSensitivity,
-    SensitivityReport,
     build_report,
     global_sensitivity,
     group_local_sensitivity,
@@ -74,12 +58,33 @@ from .sensitivity import (
 
 __version__ = "0.1.0"
 
+_LAZY = {
+    **dict.fromkeys(
+        ("ExperimentPlan", "default_profile_grid", "run_ci_table", "run_error_grid",
+         "run_noise_profile", "run_verification", "write_csv"),
+        "bench",
+    ),
+    **dict.fromkeys(
+        ("GridDomain", "brute_local_sensitivity", "brute_smooth_sensitivity",
+         "multiset_distance", "verify_ratio_bound"),
+        "oracle",
+    ),
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
 __all__ = [
     "AdmissibleNoiseParams",
     "BoundsError",
     "BudgetExceededError",
     "BudgetLedger",
-    "Calibration",
     "ConfigError",
     "CsvFormatError",
     "CuratorError",
@@ -88,18 +93,14 @@ __all__ = [
     "DomainBounds",
     "ExperimentPlan",
     "GridDomain",
-    "GroupSensitivity",
     "LaplaceParams",
     "LedgerEntry",
     "MechanismConfig",
-    "NoisyAnswer",
     "PreconditionError",
     "QueryError",
     "QuerySpec",
     "RandomSource",
-    "RatioReport",
     "SensitivityError",
-    "SensitivityReport",
     "SessionError",
     "admissible_pdf",
     "answer",

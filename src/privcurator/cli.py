@@ -7,15 +7,6 @@ import json
 import sys
 from pathlib import Path
 
-from .bench import (
-    ExperimentPlan,
-    default_profile_grid,
-    run_ci_table,
-    run_error_grid,
-    run_noise_profile,
-    run_verification,
-    write_csv,
-)
 from .curator import BudgetLedger, MechanismConfig, answer, load_session, save_session
 from .dataset import DomainBounds, encode_bound, load_csv
 from .errors import ConfigError, CuratorError
@@ -59,7 +50,14 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="total budget when the session file does not exist yet")
     p.set_defaults(handler=_cmd_answer)
 
-    p = sub.add_parser("sensitivity", help="print sensitivity figures for a dataset and query")
+    p = sub.add_parser(
+        "sensitivity",
+        help="print sensitivity figures for a dataset and query (curator-only)",
+        description="Print the global, local and smooth sensitivity of a query on the data, "
+                    "without charging any budget. Curator-only: the \"smooth\" figure is "
+                    "dp_smooth's secret S(D), and the local figure depends on the data too; "
+                    "never publish this output.",
+    )
     _add_data_args(p)
     p.add_argument("--beta", type=float, default=1.0, help="smooth-sensitivity decay rate")
     p.add_argument("--group", type=int, default=None,
@@ -122,6 +120,17 @@ def _cmd_sensitivity(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    # imported here: the benchmark and oracle modules serve this command only
+    from .bench import (
+        ExperimentPlan,
+        default_profile_grid,
+        run_ci_table,
+        run_error_grid,
+        run_noise_profile,
+        run_verification,
+        write_csv,
+    )
+
     if args.verify:
         rows = run_verification()
         for row in rows:

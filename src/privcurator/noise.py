@@ -123,10 +123,14 @@ def laplace_cdf(x, p: LaplaceParams):
 def sample_discrete_laplace(p: DiscreteLaplaceParams, rng: RandomSource, size: int | None = None):
     # difference of two geometric inverse-CDF draws has exactly the target pmf
     log_alpha = math.log(p.alpha)
-    g1 = np.floor(np.log1p(-rng.uniforms(size)) / log_alpha)
-    g2 = np.floor(np.log1p(-rng.uniforms(size)) / log_alpha)
-    draw = (g1 - g2).astype(np.int64) if size is not None else int(g1 - g2)
-    return draw
+    if size is None:
+        g1 = np.floor(np.log1p(-rng.uniforms()) / log_alpha)
+        g2 = np.floor(np.log1p(-rng.uniforms()) / log_alpha)
+        return int(g1 - g2)
+    # One call for both halves: each bounded draw takes one raw 64-bit output,
+    # so row 0 and row 1 are exactly what two consecutive calls would return.
+    g = np.floor(np.log1p(-rng.uniforms((2, *np.atleast_1d(size)))) / log_alpha)
+    return (g[0] - g[1]).astype(np.int64)
 
 
 def dl_pmf(i, alpha: float):

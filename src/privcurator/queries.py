@@ -9,6 +9,7 @@ arithmetic on the sorted value array.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -30,6 +31,16 @@ QueryValue = float | int | np.ndarray
 
 @dataclass(frozen=True)
 class QuerySpec:
+    """One query: its kind plus the range-count endpoints or histogram edges.
+
+    Histogram edges are validated once, stored as a tuple of Python floats
+    (the field that equality, hashing and repr see) and kept beside it as a
+    read-only float64 array that evaluate() searches. The text label of a
+    histogram is memoized per distinct edge tuple in a small bounded cache,
+    so a spec answered again does not format its edges again; edges are the
+    analyst's public query, so the cache holds nothing secret.
+    """
+
     kind: str
     lo: float | None = None
     hi: float | None = None
@@ -47,18 +58,26 @@ class QuerySpec:
                 raise QueryError(f"range_count needs lo <= hi, got [{self.lo}, {self.hi}]")
         elif self.kind == HISTOGRAM:
             # one float64 pass converts and checks every edge; a non-numeric
-            # edge raises ValueError here
-            edges = np.asarray(() if self.edges is None else self.edges, dtype=np.float64)
+            # edge raises ValueError here. np.array copies, so the kept array
+            # never aliases (or freezes) an array the caller passed in.
+            edges = np.array(() if self.edges is None else self.edges, dtype=np.float64)
             if edges.ndim != 1 or edges.size < 2:
                 raise QueryError("histogram needs at least 2 edges")
             if not np.isfinite(edges).all():
                 raise QueryError("histogram edges must be finite")
             if not (edges[:-1] < edges[1:]).all():
                 raise QueryError("histogram edges must be strictly increasing")
+            edges.flags.writeable = False
             object.__setattr__(self, "edges", tuple(edges.tolist()))
+            object.__setattr__(self, "_edge_array", edges)
         else:
             if self.lo is not None or self.hi is not None or self.edges is not None:
                 raise QueryError(f"{self.kind} takes no parameters")
+
+    def __reduce__(self):
+        # rebuild through the constructor: pickle and copy would otherwise
+        # restore the private edge array as a writable copy
+        return (type(self), (self.kind, self.lo, self.hi, self.edges))
 
     # -- constructors ----------------------------------------------------
 
@@ -117,7 +136,7 @@ class QuerySpec:
             return "max2"
         if self.kind == RANGE_COUNT:
             return f"count:{_fmt(self.lo)}:{_fmt(self.hi)}"
-        return "hist:" + ",".join(_fmt(e) for e in self.edges)
+        return _histogram_label(self.edges)
 
     # -- shape helpers ---------------------------------------------------
 
@@ -141,6 +160,14 @@ def _fmt(x: float) -> str:
     return str(int(x)) if float(x).is_integer() else repr(float(x))
 
 
+# Equal edge tuples give equal text: the only equal floats with different
+# bits are -0.0 and 0.0, and _fmt writes "0" for both. 32 entries bound what
+# a large spec can pin in memory.
+@lru_cache(maxsize=32)
+def _histogram_label(edges: tuple[float, ...]) -> str:
+    return "hist:" + ",".join(_fmt(e) for e in edges)
+
+
 def evaluate(d: Dataset, q: QuerySpec) -> QueryValue:
     """Evaluate the query exactly. Raises on unmet preconditions.
 
@@ -162,7 +189,7 @@ def evaluate(d: Dataset, q: QuerySpec) -> QueryValue:
     if q.kind == RANGE_COUNT:
         return int(np.searchsorted(values, q.hi, "right") - np.searchsorted(values, q.lo, "left"))
     # bins are [e_i, e_{i+1}) except the last, which also keeps its right edge
-    edges = np.asarray(q.edges)
+    edges = q._edge_array
     cuts = np.searchsorted(values, edges, "left")
     cuts[-1] = np.searchsorted(values, edges[-1], "right")
     return np.diff(cuts).astype(np.int64, copy=False)

@@ -217,3 +217,26 @@ def test_runtime_runs_without_scipy(data_csv, tmp_path):
     env = {**os.environ, "PYTHONPATH": path}
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_import_leaves_bench_and_oracle_unloaded():
+    # the package exports their names lazily; only `bench` itself needs them
+    script = textwrap.dedent("""
+        import sys
+        import privcurator.cli
+        loaded = sorted(m for m in ("privcurator.bench", "privcurator.oracle")
+                        if m in sys.modules)
+        assert not loaded, loaded
+        import privcurator
+        from privcurator import GridDomain, run_error_grid
+        assert run_error_grid is sys.modules["privcurator.bench"].run_error_grid
+        assert GridDomain is sys.modules["privcurator.oracle"].GridDomain
+        namespace = {}
+        exec("from privcurator import *", namespace)
+        assert set(privcurator.__all__) <= set(namespace)
+    """)
+    src = str(Path(privcurator.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

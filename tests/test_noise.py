@@ -75,6 +75,29 @@ def test_discrete_laplace_matches_pmf():
     assert isinstance(one, int)
 
 
+def test_discrete_laplace_draws_match_the_two_call_formula():
+    # the reference: two geometric draws from two consecutive uniform calls
+    def two_calls(alpha, rng, size):
+        log_alpha = math.log(alpha)
+        g1 = np.floor(np.log1p(-rng.uniforms(size)) / log_alpha)
+        g2 = np.floor(np.log1p(-rng.uniforms(size)) / log_alpha)
+        return int(g1 - g2) if size is None else (g1 - g2).astype(np.int64)
+
+    for alpha in (0.05, 0.5, 0.97):
+        got_rng, ref_rng = RandomSource(17), RandomSource(17)
+        for size in (None, 1, 2, 3, 10, None, 100, 101, 1000, (4, 5), 4097):
+            got = sample_discrete_laplace(DiscreteLaplaceParams(alpha), got_rng, size)
+            ref = two_calls(alpha, ref_rng, size)
+            assert type(got) is type(ref)
+            if size is None:
+                assert got == ref
+            else:
+                assert got.dtype == np.int64 and got.shape == ref.shape
+                assert np.array_equal(got, ref), (alpha, size)
+        # both streams are at the same place afterwards
+        assert got_rng.uniforms() == ref_rng.uniforms()
+
+
 def test_dl_pmf_cdf_consistency():
     alpha = 0.7
     ks = np.arange(-60, 61)

@@ -1,9 +1,24 @@
 """Query parsing, validation, and exact evaluation."""
 
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
-from privcurator import Dataset, DomainBounds, PreconditionError, QueryError, QuerySpec, evaluate
+from privcurator import (
+    BudgetLedger,
+    Dataset,
+    DomainBounds,
+    MechanismConfig,
+    PreconditionError,
+    QueryError,
+    QuerySpec,
+    RandomSource,
+    answer,
+    evaluate,
+)
+from privcurator import queries
 
 
 def _data(*values):
@@ -145,3 +160,78 @@ def test_counts_match_the_definitional_scan():
                 got = evaluate(d, q)
                 assert got.dtype == np.int64
                 assert got.tolist() == _scan(d.values, q).tolist(), (raw, edges)
+
+
+def _uncached_label(q):
+    return "hist:" + ",".join(queries._fmt(e) for e in q.edges)
+
+
+def test_histogram_label_is_formatted_once_per_distinct_spec(monkeypatch):
+    edges = np.linspace(-3.0, 7.0, 101) + 1 / 3
+    q = QuerySpec.histogram(edges)
+    expected = _uncached_label(q)
+    calls = []
+    fmt = queries._fmt
+    monkeypatch.setattr(queries, "_fmt", lambda x: calls.append(x) or fmt(x))
+    queries._histogram_label.cache_clear()
+    d = _data(*np.linspace(-3.0, 7.0, 11))
+    cfg = MechanismConfig("dp_global", 0.1)
+    ledger = BudgetLedger(1.0)
+    first = answer(d, q, cfg, RandomSource(0), ledger)
+    answer(d, q, cfg, RandomSource(0), ledger)
+    answer(d, QuerySpec.histogram(list(edges)), cfg, RandomSource(0), ledger)
+    assert first.to_json_dict()["query"] == expected
+    assert [e.query for e in ledger.entries] == [expected] * 3
+    assert len(calls) == 101
+
+
+def test_cached_histogram_label_equals_uncached_formatting():
+    rng = np.random.default_rng(11)
+    edge_sets = [[-0.0, 1.0], [0.0, 1.0], [-1.0, -0.0, 2.0], [-2.0, 0.0, 0.5, 3.0],
+                 [1e15, 1e15 + 1.0, 2e16], [-1e300, 0.1, 1e300]]
+    for _ in range(50):
+        k = int(rng.integers(2, 40))
+        raw = rng.choice([rng.normal(size=k) * 10.0 ** rng.integers(-8, 9),
+                          rng.integers(-50, 50, k).astype(float)])
+        edge_sets.append(np.unique(raw))
+    for edges in edge_sets:
+        if len(edges) < 2:
+            continue
+        q = QuerySpec.histogram(edges)
+        for _ in range(2):  # a miss, then a hit
+            assert q.to_string() == _uncached_label(q)
+        assert QuerySpec.parse(q.to_string()) == q
+    # -0.0 and 0.0 edges make equal specs, and equal specs share one label
+    assert QuerySpec.histogram([-0.0, 1.0]) == QuerySpec.histogram([0.0, 1.0])
+    assert QuerySpec.histogram([-0.0, 1.0]).to_string() == "hist:0,1"
+
+
+def test_histogram_edge_array_is_read_only_and_private():
+    given = np.array([0.0, 0.25, 0.5, 1.0])
+    q = QuerySpec.histogram(given)
+    arr = q._edge_array
+    assert arr.dtype == np.float64 and not arr.flags.writeable
+    assert arr.tolist() == list(q.edges)
+    with pytest.raises(ValueError):
+        arr[0] = 5.0
+    # the caller's array is neither aliased nor frozen
+    assert given.flags.writeable and not np.shares_memory(arr, given)
+    given[0] = -1.0
+    assert q._edge_array[0] == 0.0
+    # the array is no field: equality, hashing and repr see the tuple only
+    assert [f.name for f in dataclasses.fields(q)] == ["kind", "lo", "hi", "edges"]
+    assert "_edge_array" not in repr(q)
+    assert hash(q) == hash(QuerySpec.histogram(q.edges))
+
+
+def test_histogram_spec_pickles_and_replaces():
+    q = QuerySpec.histogram([-1.0, 0.0, 2.5, 4.0])
+    d = _data(-1, 0, 1, 2.5, 3, 4)
+    for copy in (pickle.loads(pickle.dumps(q)), dataclasses.replace(q)):
+        assert copy == q and hash(copy) == hash(q)
+        assert not copy._edge_array.flags.writeable
+        assert copy.to_string() == q.to_string()
+        assert evaluate(d, copy).tolist() == evaluate(d, q).tolist() == [1, 2, 3]
+    moved = dataclasses.replace(q, edges=(0.0, 1.0))
+    assert moved._edge_array.tolist() == [0.0, 1.0]
+    assert evaluate(d, moved).tolist() == [2]
