@@ -45,7 +45,7 @@ from .noise import (
     sample_discrete_laplace,
     sample_laplace,
 )
-from .queries import QuerySpec, evaluate
+from .queries import RANGE_COUNT, QuerySpec, evaluate
 from .sensitivity import (
     global_sensitivity,
     group_local_sensitivity,
@@ -322,8 +322,23 @@ def calibrate(d: Dataset, q: QuerySpec, cfg: MechanismConfig) -> Calibration:
 
     Shared by answer() and by the ratio-verification oracle, which needs the
     mechanism fixed from the actual dataset before probing its neighbors.
+
+    The costly inputs are pure functions of the dataset and the public query,
+    so they are memoized on the dataset (see Dataset): histogram counts, kept
+    as a read-only array; dp_smooth's S(D) of median, max and max2 per beta;
+    and the gdp scale per query and group size, except for range counts,
+    whose keys are unbounded and whose ladder is cheap. The memo holds at
+    most 128 entries per dataset, oldest evicted first. It keeps S(D) in the
+    curator's memory only: S(D) is never published, pickled or written to a
+    session. A hit only skips recomputation: the calibration is the same, and
+    answer() still charges the ledger and draws fresh noise on every release.
+    A hit versus a miss shows only whether this query, at this beta or group
+    size, was asked of this dataset before. A dataset must not be mutated.
     """
-    value = evaluate(d, q)
+    if q.vector_valued:
+        value = _memoized(d, ("value", q), lambda: _read_only(evaluate(d, q)))
+    else:
+        value = evaluate(d, q)
     eps = cfg.epsilon
 
     if cfg.regime == "dp_global":
@@ -333,13 +348,18 @@ def calibrate(d: Dataset, q: QuerySpec, cfg: MechanismConfig) -> Calibration:
         sens = local_sensitivity(d, q)
         family = cfg.noise_family
     elif cfg.regime == "gdp":
-        ladder = group_local_sensitivity(d, q, cfg.group_size)
-        # smallest scale meeting every distance-i constraint of the linear schedule
-        sens = max(b / i for i, b in enumerate(ladder.per_distance, start=1))
+        g = cfg.group_size
+        if q.kind == RANGE_COUNT:
+            sens = _group_scale(d, q, g)
+        else:
+            sens = _memoized(d, ("gdp", q, g), lambda: _group_scale(d, q, g))
         family = cfg.noise_family
     else:
         beta = eps / cfg.gamma
-        sens = smooth_sensitivity(d, q, beta)
+        if q.integer_valued:  # a constant, whatever the data
+            sens = smooth_sensitivity(d, q, beta)
+        else:
+            sens = _memoized(d, ("smooth", q, beta), lambda: smooth_sensitivity(d, q, beta))
         family = "admissible"
 
     if math.isinf(sens):
@@ -361,6 +381,41 @@ def calibrate(d: Dataset, q: QuerySpec, cfg: MechanismConfig) -> Calibration:
     else:
         param = 4.0 * cfg.gamma * sens / eps
     return Calibration(value, family, sens, param, cfg.gamma)
+
+
+# Entries per dataset memo. A curator answering a fixed set of standard
+# queries fills a few dozen; the cap bounds what random queries can add.
+_MEMO_SIZE = 128
+# Guards every memo write: eviction iterates the dict, which must not change
+# size meanwhile. A read is one dict lookup and needs no lock. The lock is
+# never held while a value is computed, so two threads may both compute a
+# missing value; they store equal values.
+_memo_lock = threading.Lock()
+_MISSING = object()
+
+
+def _memoized(d: Dataset, key, compute):
+    """d's memoized value for key, computed and stored (FIFO) when missing."""
+    memo = d._memo
+    value = memo.get(key, _MISSING)
+    if value is _MISSING:
+        value = compute()
+        with _memo_lock:
+            memo[key] = value
+            while len(memo) > _MEMO_SIZE:
+                del memo[next(iter(memo))]
+    return value
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+def _group_scale(d: Dataset, q: QuerySpec, g: int) -> float:
+    # smallest scale meeting every distance-i constraint of the linear schedule
+    ladder = group_local_sensitivity(d, q, g)
+    return max(b / i for i, b in enumerate(ladder.per_distance, start=1))
 
 
 def answer(

@@ -90,6 +90,18 @@ class Dataset:
     float64 array, so x_1 <= ... <= x_n can be indexed directly by every
     sensitivity formula. The record count n is treated as public: neighbor
     datasets modify one record, they never add or remove one.
+
+    A Dataset must not be mutated: every calibration input is a function of
+    the values and bounds it was built with. curator.calibrate memoizes the
+    costly ones in a private per-dataset dict (histogram counts, the smooth
+    sensitivity S(D) of median, max and max2 per beta, and the gdp scale per
+    query and group size), at most 128 entries, oldest evicted first. The memo
+    lives in the curator's memory only and dies with the dataset: it is not a
+    field, so eq and repr ignore it, and pickle or copy rebuild the dataset
+    through the constructor with an empty memo, so S(D) is never published,
+    pickled or written to a session. Whether a release hits the memo shows
+    only whether the same query, at the same beta or group size, was asked of
+    this dataset before.
     """
 
     values: np.ndarray
@@ -111,6 +123,12 @@ class Dataset:
             )
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "_memo", {})
+
+    def __reduce__(self):
+        # rebuild through the constructor: pickle and copy would otherwise
+        # restore writable values and carry the memo along
+        return (type(self), (self.values, self.bounds, self.name))
 
     @property
     def n(self) -> int:

@@ -584,12 +584,16 @@ def group_local_sensitivity(d: Dataset, q: QuerySpec, g: int) -> GroupSensitivit
             up = top - runner_up if i == 1 else upper - runner_up
             down = runner_up - _stat(v, bounds, n - i - 1)
             entries.append(max(up, down))
-    elif q.kind == RANGE_COUNT:
-        c = int(evaluate(d, q))
-        entries = [float(min(i, max(c, n - c))) for i in range(1, g + 1)]
     else:
-        counts = evaluate(d, q)
-        worst = max(int(counts.max()), n - int(counts.min()))
+        # i modified records move each count by at most i and at most `worst`,
+        # the most any count can move. worst >= ceil(n/2): one count c has
+        # max(c, n - c) >= n/2, and with two or more bins the smallest count
+        # is at most n/2. So the counts bound nothing until i passes ceil(n/2).
+        if g <= (n + 1) // 2:
+            worst = g
+        else:
+            counts = np.atleast_1d(evaluate(d, q))
+            worst = max(int(counts.max()), n - int(counts.min()))
         entries = [min(2, q.n_bins) * min(i, worst) for i in range(1, g + 1)]
 
     return GroupSensitivity(tuple(entries))

@@ -1,8 +1,10 @@
 """Mechanism configuration, calibration, budget accounting, and sessions."""
 
+import dataclasses
 import json
 import math
 import os
+import sys
 import threading
 import time
 import warnings
@@ -29,6 +31,8 @@ from privcurator import (
     load_session,
     save_session,
 )
+from privcurator import curator, sensitivity
+from privcurator.errors import CuratorError
 
 B01 = DomainBounds(0.0, 1.0)
 
@@ -149,6 +153,126 @@ def test_calibrate_rejects_unbounded_and_mismatched_noise():
     cfg = MechanismConfig("dp_global", 1.0, noise_family="discrete_laplace")
     with pytest.raises(ConfigError, match="integer-valued"):
         calibrate(_d([0.5]), QuerySpec.median(), cfg)
+
+
+# ---------------------------------------------------------------------------
+# calibration memo
+# ---------------------------------------------------------------------------
+
+MEMO_QUERIES = (QuerySpec.median(), QuerySpec.maximum(), QuerySpec.second_maximum(),
+                QuerySpec.range_count(0.2, 0.6), QuerySpec.histogram(np.linspace(0, 1, 11)))
+MEMO_CONFIGS = (
+    [MechanismConfig(r, e, noise_family=f) for r in ("dp_global", "idp_local")
+     for f in ("laplace", "discrete_laplace") for e in (0.5, 1.0)]
+    + [MechanismConfig("gdp", e, noise_family=f, group_size=g)
+       for f in ("laplace", "discrete_laplace") for g in (2, 60) for e in (0.5, 1.0)]
+    + [MechanismConfig("dp_smooth", e, gamma=g) for g in (2.0, 3.0) for e in (0.5, 1.0)]
+)
+
+
+def _memo_stream(datasets, seed, releases):
+    # a seeded mix of every query kind under every config, as JSON text or the
+    # error a release raised; datasets(i) gives the dataset for release i
+    pick = np.random.default_rng(seed)
+    rng = RandomSource(seed)
+    ledger = _free_ledger()
+    out = []
+    for i in range(releases):
+        q = MEMO_QUERIES[pick.integers(len(MEMO_QUERIES))]
+        cfg = MEMO_CONFIGS[pick.integers(len(MEMO_CONFIGS))]
+        try:
+            out.append(json.dumps(answer(datasets(i), q, cfg, rng, ledger).to_json_dict()))
+        except CuratorError as exc:
+            out.append(f"{type(exc).__name__}: {exc}")
+    return out
+
+
+def test_memoized_calibration_releases_what_a_fresh_dataset_releases():
+    values = np.round(np.random.default_rng(3).random(101), 1)  # ties at the median
+    d = _d(values)
+    reused = _memo_stream(lambda i: d, 11, 600)
+    fresh = _memo_stream(lambda i: _d(values), 11, 600)
+    assert reused == fresh
+    assert 0 < len(d._memo) <= curator._MEMO_SIZE
+
+
+def test_smooth_sensitivity_is_computed_once_per_beta(monkeypatch):
+    calls = []
+    smooth_median = sensitivity._smooth_median
+
+    def counting(v, bounds, beta):
+        calls.append(beta)
+        return smooth_median(v, bounds, beta)
+
+    monkeypatch.setattr(sensitivity, "_smooth_median", counting)
+    d = _d([0.1, 0.2, 0.4, 0.5, 0.7, 0.8, 0.9])
+    ledger = _free_ledger()
+    # eps/gamma = 0.25 three times, then 0.5
+    for eps, gamma in ((0.5, 2.0), (0.5, 2.0), (1.0, 4.0), (1.0, 2.0)):
+        answer(d, QuerySpec.median(), MechanismConfig("dp_smooth", eps, gamma=gamma),
+               RandomSource(1), ledger)
+    assert calls == [0.25, 0.5]
+    assert len(ledger.entries) == 4
+
+
+def test_memo_is_bounded_and_evicts_the_oldest():
+    d = _d(np.linspace(0.0, 1.0, 11))
+    q = QuerySpec.median()
+    for k in range(10_000):
+        calibrate(d, q, MechanismConfig("dp_smooth", 0.01 + k * 1e-4, gamma=2.0))
+    assert len(d._memo) == curator._MEMO_SIZE
+    betas = [key[2] for key in d._memo]
+    assert betas == [(0.01 + k * 1e-4) / 2.0 for k in range(10_000 - curator._MEMO_SIZE, 10_000)]
+
+
+def test_replaced_dataset_has_its_own_memo():
+    d = _d([0.1, 0.2, 0.5, 0.6, 0.7])
+    cfg = MechanismConfig("dp_smooth", 1.0, gamma=2.0)
+    narrow = calibrate(d, QuerySpec.maximum(), cfg)
+    wide_d = dataclasses.replace(d, bounds=DomainBounds(0.0, 10.0))
+    wide = calibrate(wide_d, QuerySpec.maximum(), cfg)
+    assert wide_d._memo is not d._memo
+    assert wide.sensitivity_used == calibrate(
+        _d(d.values, DomainBounds(0.0, 10.0)), QuerySpec.maximum(), cfg).sensitivity_used
+    assert wide.sensitivity_used > narrow.sensitivity_used
+    assert calibrate(d, QuerySpec.maximum(), cfg) == narrow
+
+
+def test_memoized_histogram_counts_are_read_only():
+    d = _d([0.1, 0.2, 0.5, 0.6, 0.7])
+    q = QuerySpec.histogram([0, 0.5, 1])
+    for cfg in (MechanismConfig("dp_global", 1.0), MechanismConfig("gdp", 1.0, group_size=2)):
+        cal = calibrate(d, q, cfg)
+        assert not cal.value.flags.writeable
+        assert cal.value.tolist() == [2, 3]
+        with pytest.raises(ValueError):
+            cal.value[0] = 9
+    ans = answer(d, q, MechanismConfig("dp_global", 1.0), RandomSource(2), _free_ledger())
+    assert len(ans.value) == 2
+    assert calibrate(d, q, MechanismConfig("dp_global", 1.0)).value.tolist() == [2, 3]
+
+
+def test_threads_sharing_a_dataset_release_what_one_thread_does():
+    values = np.random.default_rng(4).random(1001)
+    expected = [_memo_stream(lambda i: _d(values), seed, 150) for seed in range(4)]
+    shared = _d(values)
+    results = [None] * 4
+
+    def worker(seed):
+        results[seed] = _memo_stream(lambda i: shared, seed, 150)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(s,)) for s in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == expected
 
 
 # ---------------------------------------------------------------------------

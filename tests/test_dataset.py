@@ -1,6 +1,8 @@
 """Dataset container, bounds handling, CSV ingestion, synthetic draws."""
 
+import copy
 import math
+import pickle
 import tracemalloc
 import warnings
 
@@ -60,6 +62,16 @@ def test_dataset_sorts_and_freezes():
     assert d.n == 3 and len(d) == 3
     with pytest.raises(ValueError):
         d.values[0] = 9.0
+
+
+def test_dataset_copies_are_rebuilt_frozen_with_an_empty_memo():
+    d = Dataset(np.array([3.0, 1.0, 2.0]), DomainBounds(0, 5), name="x")
+    d._memo["key"] = 1.0
+    for c in (pickle.loads(pickle.dumps(d)), copy.copy(d), copy.deepcopy(d)):
+        assert c.values.tolist() == [1.0, 2.0, 3.0]
+        assert not c.values.flags.writeable
+        assert (c.bounds, c.name) == (d.bounds, d.name)
+        assert c._memo == {}
 
 
 def test_dataset_rejects_bad_values():

@@ -17,6 +17,8 @@ from privcurator import (
     local_sensitivity,
     smooth_sensitivity,
 )
+from privcurator import sensitivity
+from privcurator.queries import evaluate
 
 B01 = DomainBounds(0.0, 1.0)
 
@@ -128,6 +130,41 @@ def test_group_ladder_counts_saturate():
     # each moved record changes the bin counts by up to 2 in L1
     hist = group_local_sensitivity(d, QuerySpec.histogram([0, 0.5, 1]), 4)
     assert hist.per_distance == (2.0, 4.0, 6.0, 6.0)
+
+
+def _old_count_ladder(d, q, g):
+    # the count ladders as they were, evaluating the query for every g
+    n = d.n
+    if q.kind == "range_count":
+        c = int(evaluate(d, q))
+        return tuple(float(min(i, max(c, n - c))) for i in range(1, g + 1))
+    counts = evaluate(d, q)
+    worst = max(int(counts.max()), n - int(counts.min()))
+    return tuple(float(min(2, q.n_bins) * min(i, worst)) for i in range(1, g + 1))
+
+
+def test_count_ladders_evaluate_only_past_half_n(monkeypatch):
+    calls = []
+
+    def counting_evaluate(d, q):
+        calls.append(q)
+        return evaluate(d, q)
+
+    monkeypatch.setattr(sensitivity, "evaluate", counting_evaluate)
+    rng = np.random.default_rng(12)
+    qs = (QuerySpec.range_count(0.2, 0.7), QuerySpec.range_count(0.0, 1.0),
+          QuerySpec.histogram([0, 1]), QuerySpec.histogram([0, 0.5, 1]),
+          QuerySpec.histogram(np.linspace(0, 1, 11)))
+    for n in (1, 2, 3, 5, 1001):
+        gs = range(1, n + 2) if n < 1001 else (1, 2, 499, 500, 501, 502, 503, 1001, 1002)
+        for values in (rng.random(n), np.zeros(n), np.ones(n), np.round(rng.random(n))):
+            d = _d(values)
+            for q in qs:
+                for g in gs:
+                    calls.clear()
+                    assert group_local_sensitivity(d, q, g).per_distance == \
+                        _old_count_ladder(d, q, g), (n, q, g)
+                    assert bool(calls) == (g > (n + 1) // 2)
 
 
 def test_group_ladder_monotone_and_anchored():
