@@ -179,8 +179,7 @@ def run_noise_profile(epsilon: float, sensitivity: float, grid) -> list[dict]:
         raise PreconditionError("grid must be a 1-d sequence with at least 2 points")
 
     lap = laplace_pdf(xs, LaplaceParams(0.0, sensitivity / epsilon))
-    scale2 = 8.0 * sensitivity / epsilon
-    scale3 = 12.0 * sensitivity / epsilon
+    scale2, scale3 = (4.0 * gamma * sensitivity / epsilon for gamma in (2.0, 3.0))
     g2 = admissible_pdf(xs / scale2, 2.0) / scale2
     g3 = admissible_pdf(xs / scale3, 3.0) / scale3
     return [

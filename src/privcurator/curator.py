@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 import threading
 from dataclasses import dataclass, field
@@ -71,6 +72,9 @@ class MechanismConfig:
     def __post_init__(self) -> None:
         if self.regime not in REGIMES:
             raise ConfigError(f"unknown regime {self.regime!r}; choose one of {REGIMES}")
+        for name in ("epsilon", "gamma", "group_size"):
+            if isinstance(getattr(self, name), (bool, np.bool_)):
+                raise ConfigError(f"{name} must be a number, not a bool")
         if not (self.epsilon > 0 and math.isfinite(self.epsilon)):
             raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
         if self.regime == "dp_smooth":
@@ -86,8 +90,13 @@ class MechanismConfig:
                 raise ConfigError(f"unknown noise family {self.noise_family!r}")
             object.__setattr__(self, "noise_family", family)
         if self.regime == "gdp":
-            if self.group_size is None or self.group_size < 1:
-                raise ConfigError("gdp needs group_size >= 1")
+            try:
+                g = operator.index(self.group_size)
+            except TypeError:
+                g = 0
+            if g < 1:
+                raise ConfigError(f"gdp needs an integer group_size >= 1, got {self.group_size!r}")
+            object.__setattr__(self, "group_size", g)
         elif self.group_size is not None:
             raise ConfigError(f"group_size applies to gdp only, not {self.regime}")
 

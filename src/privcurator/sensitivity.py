@@ -6,8 +6,9 @@ domain: x~_i = min(Dom) for i < 1 and x~_i = max(Dom) for i > n. The brute
 force oracle validates this convention; it is not assumed. The clamp is a
 read of the sorted values or of a bound, never a padded copy of the data, so
 a ladder or a smooth-sensitivity scan costs what it reads, not O(n). Smooth
-sensitivity up to the stopping index K costs O(K) numpy work for max and
-max2 and O(K log K) for the median, whatever the spacing of the data.
+sensitivity up to the stopping index K costs O(K) math.exp calls for the
+decays, plus O(K) numpy work for max and max2 and O(K log K) for the median,
+whatever the spacing of the data.
 
 Counting queries have constant L1 sensitivity min(2, n_bins) under the
 modify-one-record neighbor relation, where a range count has one bin. A
@@ -122,33 +123,6 @@ def global_sensitivity(q: QuerySpec, bounds: DomainBounds, n: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# local sensitivity
-# ---------------------------------------------------------------------------
-
-
-def local_sensitivity(d: Dataset, q: QuerySpec) -> float:
-    """Worst-case |f(y) - f(D)| over datasets y differing from D in one record."""
-    v = d.values
-    n = v.size
-    if q.kind == MEDIAN:
-        if n % 2 == 0 or n < 3:
-            raise PreconditionError(f"median local sensitivity needs odd n >= 3, got {n}")
-        m = (n - 1) // 2  # 0-based median position
-        return float(max(v[m] - v[m - 1], v[m + 1] - v[m]))
-    if q.kind == MAXIMUM:
-        if n < 2:
-            raise PreconditionError(f"maximum local sensitivity needs n >= 2, got {n}")
-        # moving any record to the top of the domain raises the max to max(Dom)
-        return float(max(d.bounds.upper - v[-1], v[-1] - v[-2]))
-    if q.kind == SECOND_MAXIMUM:
-        if n < 3:
-            raise PreconditionError(f"second_maximum local sensitivity needs n >= 3, got {n}")
-        # depends only on the gaps between the top three values, never on the domain
-        return float(max(v[-1] - v[-2], v[-2] - v[-3]))
-    return float(min(2, q.n_bins))
-
-
-# ---------------------------------------------------------------------------
 # smooth sensitivity
 # ---------------------------------------------------------------------------
 
@@ -164,9 +138,9 @@ def smooth_sensitivity(d: Dataset, q: QuerySpec, beta: float) -> float:
     multiplication round the same in any order, and every skipped term is
     shown, by monotone rounding, unable to beat the best before it.
 
-    Every decay is math.exp(-beta * k). np.exp can differ from it in the last
-    bit, so an np.exp value serves only as a bound with a margin of a few
-    ulps, and math.exp settles every test a bound leaves open.
+    Every decay is math.exp(-beta * k), never np.exp, which can differ from
+    it in the last bit: one math.exp call per k scanned, on top of the numpy
+    block work.
 
     max and max2 read two or three clamped order statistics per k: O(K) for
     the stopping index K. For the median, a_k is the largest gap
@@ -206,25 +180,12 @@ def smooth_sensitivity(d: Dataset, q: QuerySpec, beta: float) -> float:
 _FIRST_BLOCK = 32
 _MAX_GROWTH = 16
 
-# Decays come from math.exp: np.exp can differ from it in the last bit (at
-# about 0.5% of k for beta = 0.1/3 with numpy 2.4.6 on x86-64), and S(D) must
-# not depend on which. A block of at most this many k takes every decay from
-# math.exp; a longer one uses np.exp values as bounds and calls math.exp only
-# for the k a bound leaves open.
-_EXACT_DECAYS = 64
-
-# A median block whose k count times k1 is at most this computes every a_k,
-# as one gap matrix of that size; a larger one only those of the k that
-# survive the skip test.
+# A median block of at most _DENSE_K k whose k count times k1 is at most
+# _DENSE_GAPS computes every a_k, as one gap matrix of that size; a larger
+# one only those of the k that survive the skip test, which costs less once
+# a block holds more than a few dozen k.
+_DENSE_K = 64
 _DENSE_GAPS = 1 << 14
-
-# np.exp and math.exp differ by a few ulps at most. Scaled by these factors
-# (and shifted by a few subnormal ulps), an np.exp decay is a sure upper or
-# lower bound of the math.exp one, so it decides a test only when the test
-# comes out the same for every value between the bounds.
-_EXP_HI = 1.0 + 2.0**-48
-_EXP_LO = 1.0 - 2.0**-48
-_EXP_TINY = 2.0**-1068
 
 # The median's lag maxima are computed in gap matrices of at most this many
 # entries, so a long scan never holds a quadratic array.
@@ -251,25 +212,15 @@ def _block_end(k0: int, start: int, floor: float, span: float, beta: float, stop
     return min(k1, stop)
 
 
-def _decays(beta: float, ks) -> np.ndarray:
-    # exp(-beta * k) for each k of an int array or a range, from math.exp:
-    # the values S(D) is made of
-    return np.array([math.exp(-beta * k) for k in (ks if isinstance(ks, range) else ks.tolist())])
+def _decays(beta: float, k0: int, k1: int) -> np.ndarray:
+    # exp(-beta * k) for k = k0..k1-1, the values S(D) is made of. They come
+    # from math.exp, never np.exp, which can differ in the last bit (at about
+    # 0.5% of k for beta = 0.1/3 with numpy 2.4.6 on x86-64). The products
+    # -beta * k round the same in numpy as in Python floats.
+    return np.fromiter(map(math.exp, (-beta * np.arange(k0, k1)).tolist()), float, k1 - k0)
 
 
-def _decay_bounds(beta: float, k0: int, k1: int):
-    """Upper and lower bounds of the math.exp decays of k = k0..k1-1.
-
-    A short block gets the exact decays as both bounds (the same array).
-    """
-    if k1 - k0 <= _EXACT_DECAYS:
-        d = _decays(beta, range(k0, k1))
-        return d, d
-    e = np.exp(-beta * np.arange(k0, k1))
-    return e * _EXP_HI + _EXP_TINY, e * _EXP_LO - _EXP_TINY
-
-
-def _fold(best, terms, beta, k0, hi, lo, span) -> tuple[float, bool]:
+def _fold(best, terms, decays, span) -> tuple[float, bool]:
     """Fold one block of terms decay_k * a_k into the running best.
 
     The scan stops at the first k whose decay * span is at most the best of
@@ -278,17 +229,9 @@ def _fold(best, terms, beta, k0, hi, lo, span) -> tuple[float, bool]:
     to the stop (or the block's end) and whether the scan stopped.
     """
     before = np.maximum.accumulate(np.concatenate(([best], terms)))[:-1]
-    sure = hi * span <= before
-    end = int(sure.argmax())
-    if not sure[end]:
-        end = terms.size
-    if lo is not hi:
-        maybe = (lo[:end] * span <= before[:end]).nonzero()[0]
-        if maybe.size:  # the bounds straddle the test; the exact decays decide
-            hit = (_decays(beta, maybe + k0) * span <= before[maybe]).nonzero()[0]
-            if hit.size:
-                end = int(maybe[hit[0]])
-    if end < terms.size:
+    stop = decays * span <= before
+    end = int(stop.argmax())
+    if stop[end]:
         return float(before[end]), True
     return max(float(before[-1]), float(terms[-1])), False
 
@@ -301,10 +244,10 @@ def _smooth_maximum(v: np.ndarray, bounds: DomainBounds, beta: float) -> float:
     best, k0 = 0.0, 0
     while k0 <= n:
         k1 = _block_end(k0, 0, max(best, first), span, beta, n + 1)
-        hi, lo = _decay_bounds(beta, k0, k1)
+        d = _decays(beta, k0, k1)
         r = _order_stats(v, bounds, n - k1, k1 - k0 + 1)[::-1]  # r[m] = x~_{n-k0-m}
         a = np.maximum(upper - r[:-1], top - r[1:])
-        best, stopped = _fold_bounded(best, a, beta, k0, hi, lo, span)
+        best, stopped = _fold(best, d * a, d, span)
         if stopped:
             break
         k0 = k1
@@ -320,7 +263,7 @@ def _smooth_second_maximum(v: np.ndarray, bounds: DomainBounds, beta: float) -> 
     best, k0 = 0.0, 0
     while k0 <= n:
         k1 = _block_end(k0, 0, max(best, first), span, beta, n + 1)
-        hi, lo = _decay_bounds(beta, k0, k1)
+        d = _decays(beta, k0, k1)
         r = _order_stats(v, bounds, n - k1 - 1, k1 - k0 + 2)[::-1]  # r[m] = x~_{n-k0-m}
         # k modifications can hollow out the values under the kept top pair,
         # or (for k >= 1) plant a record at max(Dom) above a lowered runner-up
@@ -329,40 +272,11 @@ def _smooth_second_maximum(v: np.ndarray, bounds: DomainBounds, beta: float) -> 
         if k0 == 0:
             planted[0] = 0.0
         a = np.maximum(a, planted)
-        best, stopped = _fold_bounded(best, a, beta, k0, hi, lo, span)
+        best, stopped = _fold(best, d * a, d, span)
         if stopped:
             break
         k0 = k1
     return best
-
-
-def _fold_bounded(best, a, beta, k0, hi, lo, span) -> tuple[float, bool]:
-    """_fold for terms decay_k * a_k with every a_k known, but decays bounded.
-
-    The terms lie between lo * a and hi * a, so running maxima of those bound
-    the running best before each k. Where the bounds settle every stop test,
-    math.exp is needed only for the few k whose upper bound passes the
-    block's lower bound: one of them (or the lower bound itself) is the
-    block's best. Where they leave a stop test open, the block takes every
-    exact decay.
-    """
-    if lo is hi:
-        return _fold(best, hi * a, beta, k0, hi, lo, span)
-    floor = np.maximum.accumulate(np.concatenate(([best], lo * a)))
-    upper = hi * a
-    ceil = np.maximum.accumulate(np.concatenate(([best], upper)))
-    sure = hi * span <= floor[:-1]
-    end = int(sure.argmax())
-    if not sure[end]:
-        end = a.size
-    if (lo[:end] * span <= ceil[:end]).any():
-        d = _decays(beta, range(k0, k0 + a.size))
-        return _fold(best, d * a, beta, k0, d, d, span)
-    low = float(floor[end])
-    c = (upper[:end] > low).nonzero()[0]
-    if c.size:
-        low = max(low, float((_decays(beta, c + k0) * a[c]).max()))
-    return low, end < a.size
 
 
 def _smooth_median(v: np.ndarray, bounds: DomainBounds, beta: float) -> float:
@@ -379,10 +293,10 @@ def _smooth_median(v: np.ndarray, bounds: DomainBounds, beta: float) -> float:
     by_pairs = True
     while k0 <= n:
         k1 = _block_end(k0, start, max(best, first), span, beta, n + 1)
-        hi, lo = _decay_bounds(beta, k0, k1)
+        d = _decays(beta, k0, k1)
         w = _order_stats(v, bounds, M - k1, 2 * k1 + 1)  # x~_{M-k1} .. x~_{M+k1}
-        if lo is hi and (k1 - k0) * (k1 + 1) <= _DENSE_GAPS:  # a short block: every a_k
-            terms = hi * _lag_maxima(w, k1, np.arange(k0, k1))
+        if k1 - k0 <= _DENSE_K and (k1 - k0) * (k1 + 1) <= _DENSE_GAPS:  # every a_k
+            terms = d * _lag_maxima(w, k1, np.arange(k0, k1))
         else:
             # Exact skip: no gap of a_k exceeds the outer gap x~_{M+k+1} -
             # x~_{M-k-1}, and a_k is at least either one-sided gap x~_{M+k+1} -
@@ -392,9 +306,8 @@ def _smooth_median(v: np.ndarray, bounds: DomainBounds, beta: float) -> float:
             right = w[k1 + k0 + 1 :] - w[k1]
             left = w[k1] - w[k1 - k0 - 1 :: -1]
             outer = w[k1 + k0 + 1 :] - w[k1 - k0 - 1 :: -1]
-            floor = np.maximum.accumulate(np.concatenate(([best], lo * np.maximum(left, right))))
-            c = (hi * outer > floor[:-1]).nonzero()[0]
-            d = hi[c] if lo is hi else _decays(beta, c + k0)
+            floor = np.maximum.accumulate(np.concatenate(([best], d * np.maximum(left, right))))
+            c = (d * outer > floor[:-1]).nonzero()[0]
             gaps = int(c.sum()) + (k0 + 2) * c.size if c.size > 64 else 0
             if by_pairs and gaps > _PAIRS_SWITCH * k1.bit_length() * (k1 + 2048):
                 # the survivors' lag maxima would cost more than the pair search
@@ -404,8 +317,8 @@ def _smooth_median(v: np.ndarray, bounds: DomainBounds, beta: float) -> float:
                 by_pairs = False
             terms = np.zeros(k1 - k0)
             if c.size:
-                terms[c] = d * _lag_maxima(w, k1, c + k0)
-        best, stopped = _fold(best, terms, beta, k0, hi, lo, span)
+                terms[c] = d[c] * _lag_maxima(w, k1, c + k0)
+        best, stopped = _fold(best, terms, d, span)
         if stopped:
             break
         k0 = k1
@@ -468,7 +381,7 @@ def _median_by_pairs(v: np.ndarray, bounds: DomainBounds, beta: float, best: flo
     span = bounds.span
     d = np.zeros(0)
     while True:
-        d = np.concatenate((d, _decays(beta, range(d.size, C + 1))))
+        d = np.concatenate((d, _decays(beta, d.size, C + 1)))
         if np.any(d[1:] > d[:-1]):
             return None
         best = _pairs_max(_order_stats(v, bounds, M - C, 2 * C + 1), d[: C + 1], C, best, beta, span)
@@ -540,8 +453,16 @@ def _pairs_max(w: np.ndarray, d: np.ndarray, C: int, best: float, beta: float, s
 
 
 # ---------------------------------------------------------------------------
-# group sensitivity
+# local and group sensitivity
 # ---------------------------------------------------------------------------
+
+
+def local_sensitivity(d: Dataset, q: QuerySpec) -> float:
+    """Worst-case |f(y) - f(D)| over datasets y differing from D in one record.
+
+    This is rung 1 of the group ladder (see group_local_sensitivity).
+    """
+    return _ladder(d, q, 1)[0]
 
 
 def group_local_sensitivity(d: Dataset, q: QuerySpec, g: int) -> GroupSensitivity:
@@ -553,6 +474,11 @@ def group_local_sensitivity(d: Dataset, q: QuerySpec, g: int) -> GroupSensitivit
     """
     if g < 1:
         raise PreconditionError(f"group size must be >= 1, got {g}")
+    return GroupSensitivity(tuple(_ladder(d, q, g)))
+
+
+def _ladder(d: Dataset, q: QuerySpec, g: int) -> list[float]:
+    # rungs i = 1..g: the worst |f(y) - f(D)| over y within distance i of D
     v = d.values
     n = v.size
     bounds = d.bounds
@@ -560,43 +486,39 @@ def group_local_sensitivity(d: Dataset, q: QuerySpec, g: int) -> GroupSensitivit
 
     if q.kind == MEDIAN:
         if n % 2 == 0 or n < 3:
-            raise PreconditionError(f"median group sensitivity needs odd n >= 3, got {n}")
+            raise PreconditionError(f"median sensitivity needs odd n >= 3, got {n}")
         M = (n + 1) // 2
         med = float(v[M - 1])
-        entries = [
-            max(_stat(v, bounds, M + i) - med, med - _stat(v, bounds, M - i))
-            for i in range(1, g + 1)
-        ]
-    elif q.kind == MAXIMUM:
+        return [max(_stat(v, bounds, M + i) - med, med - _stat(v, bounds, M - i))
+                for i in range(1, g + 1)]
+    if q.kind == MAXIMUM:
         if n < 2:
-            raise PreconditionError(f"maximum group sensitivity needs n >= 2, got {n}")
+            raise PreconditionError(f"maximum sensitivity needs n >= 2, got {n}")
+        # moving any record to the top of the domain raises the max to max(Dom)
         top = float(v[-1])
-        entries = [max(upper - top, top - _stat(v, bounds, n - i)) for i in range(1, g + 1)]
-    elif q.kind == SECOND_MAXIMUM:
+        return [max(upper - top, top - _stat(v, bounds, n - i)) for i in range(1, g + 1)]
+    if q.kind == SECOND_MAXIMUM:
         if n < 3:
-            raise PreconditionError(f"second_maximum group sensitivity needs n >= 3, got {n}")
+            raise PreconditionError(f"second_maximum sensitivity needs n >= 3, got {n}")
         top = float(v[-1])
         runner_up = float(v[-2])
-        entries = []
-        for i in range(1, g + 1):
-            # one modification can promote the old maximum to second place;
-            # two or more can plant a pair of records at max(Dom)
-            up = top - runner_up if i == 1 else upper - runner_up
-            down = runner_up - _stat(v, bounds, n - i - 1)
-            entries.append(max(up, down))
+        # one modification can promote the old maximum to second place, so
+        # rung 1 depends only on the top three values, never on the domain;
+        # two or more can plant a pair of records at max(Dom)
+        return [max(top - runner_up if i == 1 else upper - runner_up,
+                    runner_up - _stat(v, bounds, n - i - 1))
+                for i in range(1, g + 1)]
+    # i modified records move each count by at most i and at most `worst`,
+    # the most any count can move. worst >= ceil(n/2): one count c has
+    # max(c, n - c) >= n/2, and with two or more bins the smallest count
+    # is at most n/2. So the counts bound nothing until i passes ceil(n/2).
+    if g <= (n + 1) // 2:
+        worst = g
     else:
-        # i modified records move each count by at most i and at most `worst`,
-        # the most any count can move. worst >= ceil(n/2): one count c has
-        # max(c, n - c) >= n/2, and with two or more bins the smallest count
-        # is at most n/2. So the counts bound nothing until i passes ceil(n/2).
-        if g <= (n + 1) // 2:
-            worst = g
-        else:
-            counts = np.atleast_1d(evaluate(d, q))
-            worst = max(int(counts.max()), n - int(counts.min()))
-        entries = [min(2, q.n_bins) * min(i, worst) for i in range(1, g + 1)]
-
-    return GroupSensitivity(tuple(entries))
+        counts = np.atleast_1d(evaluate(d, q))
+        worst = max(int(counts.max()), n - int(counts.min()))
+    rung = float(min(2, q.n_bins))
+    return [rung * min(i, worst) for i in range(1, g + 1)]
 
 
 def build_report(d: Dataset, q: QuerySpec, beta: float) -> SensitivityReport:

@@ -82,6 +82,20 @@ def test_config_rejects_bad_combinations():
         MechanismConfig("idp_local", 1.0, group_size=2)
 
 
+def test_config_refuses_bools_and_fractional_group_sizes():
+    # a bool is an int to Python, and 2.0 compares like 2, but neither is a
+    # group size or an epsilon; answer would die in range() on a float
+    for g in (2.5, 2.0, True, "2"):
+        with pytest.raises(ConfigError, match="group_size"):
+            MechanismConfig("gdp", 1.0, group_size=g)
+    with pytest.raises(ConfigError, match="epsilon"):
+        MechanismConfig("dp_global", True)
+    with pytest.raises(ConfigError, match="gamma"):
+        MechanismConfig("dp_smooth", 1.0, gamma=True)
+    cfg = MechanismConfig("gdp", 1.0, group_size=np.int64(2))
+    assert type(cfg.group_size) is int and cfg == MechanismConfig("gdp", 1.0, group_size=2)
+
+
 def test_config_json_shape():
     out = MechanismConfig("gdp", 0.5, group_size=3).to_json_dict()
     assert out == {"regime": "gdp", "epsilon": 0.5, "noise": "laplace", "group_size": 3}

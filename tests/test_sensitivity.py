@@ -294,6 +294,7 @@ def test_sensitivities_equal_the_plain_reference():
                 assert smooth_sensitivity(d, q, beta) == _ref_smooth(d, q, beta), (d.n, q, beta)
             if d.n >= 3:
                 assert group_local_sensitivity(d, q, 6).per_distance == _ref_group(d, q, 6), (d.n, q)
+                assert local_sensitivity(d, q) == _ref_group(d, q, 1)[0], (d.n, q)
         for bins in (10, 100):
             q = QuerySpec.histogram(np.linspace(d.bounds.lower, d.bounds.upper, bins + 1).tolist())
             for g in (1, 4):
@@ -337,12 +338,15 @@ def test_sensitivities_equal_the_reference_at_block_edges():
 
 
 def test_smooth_decays_come_from_math_exp():
-    # S(D) of the maximum here is exactly the decay at k = 36, where np.exp
-    # and math.exp round differently; a result built from np.exp decays fails
+    # S(D) of the maximum on m records at max(Dom) above five at min(Dom) is
+    # exactly the decay at k = m - 1, inside the scan's 480-k block 32..511.
+    # At k = 36 and k = 96 np.exp and math.exp round differently; a result
+    # built from np.exp decays fails
     beta = 0.1 / 3
-    assert np.exp(-beta * np.arange(37))[-1] != math.exp(-beta * 36), "np.exp agrees here"
-    d = Dataset(np.array([0.0] * 5 + [1.0] * 37), DomainBounds(0, 1))
-    assert smooth_sensitivity(d, QuerySpec.maximum(), beta) == math.exp(-beta * 36)
+    for m in (37, 97):
+        assert np.exp(-beta * np.arange(m))[-1] != math.exp(-beta * (m - 1)), "np.exp agrees here"
+        d = Dataset(np.array([0.0] * 5 + [1.0] * m), DomainBounds(0, 1))
+        assert smooth_sensitivity(d, QuerySpec.maximum(), beta) == math.exp(-beta * (m - 1)), m
 
 
 def test_smooth_sensitivity_grows_near_linearly_in_the_stop_index():
