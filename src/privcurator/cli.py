@@ -113,8 +113,7 @@ def _cmd_sensitivity(args) -> int:
     d, q = _load_inputs(args)
     payload = build_report(d, q, args.beta).to_json_dict()
     if args.group is not None:
-        ladder = group_local_sensitivity(d, q, args.group)
-        payload["group"] = [encode_bound(v) for v in ladder.per_distance]
+        payload["group"] = [encode_bound(v) for v in group_local_sensitivity(d, q, args.group)]
     print(json.dumps(payload, indent=2))
     return 0
 

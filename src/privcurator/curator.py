@@ -78,8 +78,8 @@ class MechanismConfig:
         if not (self.epsilon > 0 and math.isfinite(self.epsilon)):
             raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
         if self.regime == "dp_smooth":
-            if self.gamma is None or not self.gamma > 1.0:
-                raise ConfigError("dp_smooth needs gamma > 1")
+            if self.gamma is None or not (self.gamma > 1.0 and math.isfinite(self.gamma)):
+                raise ConfigError(f"dp_smooth needs a finite gamma > 1, got {self.gamma}")
             if self.noise_family is not None:
                 raise ConfigError("dp_smooth always uses the admissible noise family")
         else:
@@ -423,8 +423,7 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
 def _group_scale(d: Dataset, q: QuerySpec, g: int) -> float:
     # smallest scale meeting every distance-i constraint of the linear schedule
-    ladder = group_local_sensitivity(d, q, g)
-    return max(b / i for i, b in enumerate(ladder.per_distance, start=1))
+    return max(b / i for i, b in enumerate(group_local_sensitivity(d, q, g), start=1))
 
 
 def answer(

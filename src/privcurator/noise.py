@@ -71,8 +71,10 @@ class RandomSource:
     def __init__(self, seed: int | np.random.SeedSequence):
         if isinstance(seed, np.random.SeedSequence):
             self._seq = seed
-        else:
+        elif int(seed) >= 0:
             self._seq = np.random.SeedSequence(int(seed))
+        else:
+            raise PreconditionError(f"seed must be non-negative, got {seed}")
         self._gen = np.random.Generator(np.random.PCG64(self._seq))
 
     def uniforms(self, size: int | None = None):

@@ -168,6 +168,23 @@ def _histogram_label(edges: tuple[float, ...]) -> str:
     return "hist:" + ",".join(_fmt(e) for e in edges)
 
 
+def _rank(q: QuerySpec, n: int) -> int:
+    """The 1-based rank r of an order-statistic query on n sorted values.
+
+    The median is x_M for M = (n + 1) / 2 (odd n only), the maximum x_n and
+    the second maximum x_{n-1}. Raises on unmet preconditions.
+    """
+    if q.kind == MEDIAN:
+        if n % 2 == 0:
+            raise PreconditionError(f"median needs an odd number of records, got {n}")
+        return (n + 1) // 2
+    if q.kind == MAXIMUM:
+        return n
+    if n < 2:
+        raise PreconditionError(f"second_maximum needs n >= 2, got {n}")
+    return n - 1
+
+
 def evaluate(d: Dataset, q: QuerySpec) -> QueryValue:
     """Evaluate the query exactly. Raises on unmet preconditions.
 
@@ -176,16 +193,8 @@ def evaluate(d: Dataset, q: QuerySpec) -> QueryValue:
     """
     values = d.values
     n = values.size
-    if q.kind == MEDIAN:
-        if n % 2 == 0:
-            raise PreconditionError(f"median needs an odd number of records, got {n}")
-        return float(values[(n - 1) // 2])
-    if q.kind == MAXIMUM:
-        return float(values[-1])
-    if q.kind == SECOND_MAXIMUM:
-        if n < 2:
-            raise PreconditionError(f"second_maximum needs n >= 2, got {n}")
-        return float(values[-2])
+    if not q.integer_valued:
+        return float(values[_rank(q, n) - 1])
     if q.kind == RANGE_COUNT:
         return int(np.searchsorted(values, q.hi, "right") - np.searchsorted(values, q.lo, "left"))
     # bins are [e_i, e_{i+1}) except the last, which also keeps its right edge

@@ -5,10 +5,18 @@ domain edges. Order statistics referenced outside 1..n are clamped to the
 domain: x~_i = min(Dom) for i < 1 and x~_i = max(Dom) for i > n. The brute
 force oracle validates this convention; it is not assumed. The clamp is a
 read of the sorted values or of a bound, never a padded copy of the data, so
-a ladder or a smooth-sensitivity scan costs what it reads, not O(n). Smooth
-sensitivity up to the stopping index K costs O(K) math.exp calls for the
-decays, plus O(K) numpy work for max and max2 and O(K log K) for the median,
-whatever the spacing of the data.
+a ladder or a smooth-sensitivity scan costs what it reads, not O(n).
+
+The median, maximum and second maximum are the rank-r statistic x~_r for
+r = (n + 1) / 2, n and n - 1, and share one formula for each sensitivity
+(Nissim, Raskhodnikova and Smith, STOC 2007, section 3.1): rung i of the
+group ladder is max(x~_{r+i} - x~_r, x~_r - x~_{r-i}), and smooth
+sensitivity is S(D) = max_k exp(-beta k) * a_k with
+a_k = max over t = 0..k+1 of x~_{r+t} - x~_{r+t-k-1}. Up to the stopping
+index K, S(D) costs O(K) math.exp calls for the decays plus numpy work:
+O(K) for max and max2, whose a_k need at most n - r + 2 gaps each, and
+O(K log K) in the worst case for the median, whatever the spacing of the
+data.
 
 Counting queries have constant L1 sensitivity min(2, n_bins) under the
 modify-one-record neighbor relation, where a range count has one bin. A
@@ -25,15 +33,7 @@ import numpy as np
 
 from .dataset import Dataset, DomainBounds, encode_bound
 from .errors import PreconditionError
-from .queries import (
-    HISTOGRAM,
-    MAXIMUM,
-    MEDIAN,
-    RANGE_COUNT,
-    SECOND_MAXIMUM,
-    QuerySpec,
-    evaluate,
-)
+from .queries import MAXIMUM, MEDIAN, QuerySpec, _rank, evaluate
 
 
 @dataclass(frozen=True)
@@ -56,22 +56,6 @@ class SensitivityReport:
             "smooth": encode_bound(self.smooth),
             "beta": self.beta,
         }
-
-
-@dataclass(frozen=True)
-class GroupSensitivity:
-    """Worst-case |f(y) - f(D)| over datasets y within distance i, for i = 1..g."""
-
-    per_distance: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.per_distance) < 1:
-            raise PreconditionError("group sensitivity needs g >= 1")
-        object.__setattr__(self, "per_distance", tuple(float(v) for v in self.per_distance))
-
-    @property
-    def g(self) -> int:
-        return len(self.per_distance)
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +101,7 @@ def global_sensitivity(q: QuerySpec, bounds: DomainBounds, n: int) -> float:
     """
     if n < 1:
         raise PreconditionError("n must be at least 1")
-    if q.kind in (RANGE_COUNT, HISTOGRAM):
+    if q.integer_valued:
         return float(min(2, q.n_bins))
     return bounds.span
 
@@ -130,68 +114,59 @@ def global_sensitivity(q: QuerySpec, bounds: DomainBounds, n: int) -> float:
 def smooth_sensitivity(d: Dataset, q: QuerySpec, beta: float) -> float:
     """max over all datasets y of LS(y) * exp(-beta * d(D, y)), in closed form.
 
-    The max over y at distance k reduces to an order-statistic expression a_k;
-    the overall max over k = 0..n of exp(-beta k) * a_k stops early, at the
-    first k where exp(-beta k) times the domain span cannot beat the best term
-    before it. The k run in blocks of numpy work, and the result is the same
-    float as a scalar loop over k: maxima and float subtraction and
-    multiplication round the same in any order, and every skipped term is
-    shown, by monotone rounding, unable to beat the best before it.
+    For the rank-r statistic the max over y at distance k is
+    a_k = max over t = 0..k+1 of x~_{r+t} - x~_{r+t-k-1}, and the overall
+    max over k = 0..n of exp(-beta k) * a_k stops early, at the first k where
+    exp(-beta k) times the domain span cannot beat the best term before it.
+    The k run in blocks of numpy work, and the result is the same float as a
+    scalar loop over k: maxima and float subtraction and multiplication round
+    the same in any order, and every skipped term is shown, by monotone
+    rounding, unable to beat the best before it.
 
     Every decay is math.exp(-beta * k), never np.exp, which can differ from
     it in the last bit: one math.exp call per k scanned, on top of the numpy
     block work.
 
-    max and max2 read two or three clamped order statistics per k: O(K) for
-    the stopping index K. For the median, a_k is the largest gap
-    x~_{M+t} - x~_{M+t-k-1}, t = 0..k+1. A k is skipped when exp(-beta k)
-    times the outer gap x~_{M+k+1} - x~_{M-k-1}, which holds every gap of a_k,
-    cannot beat the running best of exp(-beta k) times a one-sided gap
-    x~_{M+k+1} - x~_M or x~_M - x~_{M-k-1}, which a_k is at least. The
-    remaining a_k cost O(k) each; when they outgrow O(K log K) the median
-    switches to Nissim, Raskhodnikova and Smith's divide and conquer over the
-    monotone argmax (STOC 2007, section 3.1), made exact in floating point by
-    a rounding tolerance, for O(K log K) overall.
+    A k is skipped when exp(-beta k) times the outer gap
+    x~_{r+k+1} - x~_{r-k-1}, which holds every gap of a_k, cannot beat the
+    running best of exp(-beta k) times a one-sided gap x~_{r+k+1} - x~_r or
+    x~_r - x~_{r-k-1}, which a_k is at least. The remaining a_k cost
+    O(min(k, n - r)) each: past t = n - r + 1 every gap is max(Dom) minus a
+    larger statistic, so max and max2 cost O(K) for the stopping index K.
+    When the median's outgrow O(K log K) the scan switches to Nissim,
+    Raskhodnikova and Smith's divide and conquer over the monotone argmax
+    (STOC 2007, section 3.1), made exact in floating point by a rounding
+    tolerance, for O(K log K) overall.
     """
-    if not beta > 0:
-        raise PreconditionError(f"beta must be positive, got {beta}")
-    if q.kind in (RANGE_COUNT, HISTOGRAM):
+    if not (beta > 0 and math.isfinite(beta)):
+        raise PreconditionError(f"beta must be positive and finite, got {beta}")
+    if q.integer_valued:
         return float(min(2, q.n_bins))  # constant local sensitivity smooths to itself
     if not d.bounds.is_bounded:
         return math.inf
-    v = d.values
-    n = v.size
-    if q.kind == MEDIAN:
-        if n % 2 == 0:
-            raise PreconditionError(f"median needs an odd number of records, got {n}")
-        return _smooth_median(v, d.bounds, beta)
-    if q.kind == MAXIMUM:
-        return _smooth_maximum(v, d.bounds, beta)
-    if n < 2:
-        raise PreconditionError(f"second_maximum needs n >= 2, got {n}")
-    return _smooth_second_maximum(v, d.bounds, beta)
+    return _smooth_rank(d.values, d.bounds, _rank(q, d.n), beta)
 
 
-# The k scans run in blocks of numpy work, from k = start (0 unless the
-# median sits inside a run of ties). A block [k0, k1) ends near the k where
+# The k scan runs in blocks of numpy work, from k = start (0 unless x~_r
+# sits inside a run of ties). A block [k0, k1) ends near the k where
 # decay_k * span falls to the first term or the best so far, which the stop
 # cannot pass, but the first one at most at start + 512 and a later one at
 # 16 * k0. So a typical scan is one block, and a long one O(log K) blocks.
 _FIRST_BLOCK = 32
 _MAX_GROWTH = 16
 
-# A median block of at most _DENSE_K k whose k count times k1 is at most
+# A block of at most _DENSE_K k whose k count times k1 is at most
 # _DENSE_GAPS computes every a_k, as one gap matrix of that size; a larger
 # one only those of the k that survive the skip test, which costs less once
 # a block holds more than a few dozen k.
 _DENSE_K = 64
 _DENSE_GAPS = 1 << 14
 
-# The median's lag maxima are computed in gap matrices of at most this many
+# The lag maxima are computed in gap matrices of at most this many
 # entries, so a long scan never holds a quadratic array.
 _GATHER_LIMIT = 1 << 18
 
-# The median's pair search costs about log2(C) levels of numpy calls over
+# The pair search costs about log2(C) levels of numpy calls over
 # O(C) pairs each; the scan hands over to it once the survivors of one block
 # need more gaps than a few times that.
 _PAIRS_SWITCH = 4
@@ -236,71 +211,28 @@ def _fold(best, terms, decays, span) -> tuple[float, bool]:
     return max(float(before[-1]), float(terms[-1])), False
 
 
-def _smooth_maximum(v: np.ndarray, bounds: DomainBounds, beta: float) -> float:
+def _smooth_rank(v: np.ndarray, bounds: DomainBounds, r: int, beta: float) -> float:
     n = v.size
-    upper, span = bounds.upper, bounds.span
-    top = float(v[-1])
-    first = max(upper - top, top - _stat(v, bounds, n - 1))  # the term at k = 0
-    best, k0 = 0.0, 0
-    while k0 <= n:
-        k1 = _block_end(k0, 0, max(best, first), span, beta, n + 1)
-        d = _decays(beta, k0, k1)
-        r = _order_stats(v, bounds, n - k1, k1 - k0 + 1)[::-1]  # r[m] = x~_{n-k0-m}
-        a = np.maximum(upper - r[:-1], top - r[1:])
-        best, stopped = _fold(best, d * a, d, span)
-        if stopped:
-            break
-        k0 = k1
-    return best
-
-
-def _smooth_second_maximum(v: np.ndarray, bounds: DomainBounds, beta: float) -> float:
-    n = v.size
-    upper, span = bounds.upper, bounds.span
-    top = float(v[-1])
-    runner_up = float(v[-2])
-    first = max(top - runner_up, runner_up - _stat(v, bounds, n - 2))  # the term at k = 0
-    best, k0 = 0.0, 0
-    while k0 <= n:
-        k1 = _block_end(k0, 0, max(best, first), span, beta, n + 1)
-        d = _decays(beta, k0, k1)
-        r = _order_stats(v, bounds, n - k1 - 1, k1 - k0 + 2)[::-1]  # r[m] = x~_{n-k0-m}
-        # k modifications can hollow out the values under the kept top pair,
-        # or (for k >= 1) plant a record at max(Dom) above a lowered runner-up
-        a = np.maximum(top - r[1:-1], runner_up - r[2:])
-        planted = upper - r[:-2]
-        if k0 == 0:
-            planted[0] = 0.0
-        a = np.maximum(a, planted)
-        best, stopped = _fold(best, d * a, d, span)
-        if stopped:
-            break
-        k0 = k1
-    return best
-
-
-def _smooth_median(v: np.ndarray, bounds: DomainBounds, beta: float) -> float:
-    n = v.size
-    M = (n + 1) // 2  # 1-based median index
     span = bounds.span
+    cap = n - r + 2  # the most gaps any a_k needs (see _lag_maxima)
     # inside a run of ties every a_k below the first outer gap is 0
-    start = _first_outer_gap(v, bounds, M)
-    med = _stat(v, bounds, M)
+    start = _first_outer_gap(v, bounds, r)
+    x = float(v[r - 1])
     # the term at k = start is at least its decay times either one-sided gap
-    first = math.exp(-beta * start) * max(_stat(v, bounds, M + start + 1) - med,
-                                          med - _stat(v, bounds, M - start - 1))
+    first = math.exp(-beta * start) * max(_stat(v, bounds, r + start + 1) - x,
+                                          x - _stat(v, bounds, r - start - 1))
     best, k0 = 0.0, start
     by_pairs = True
     while k0 <= n:
         k1 = _block_end(k0, start, max(best, first), span, beta, n + 1)
         d = _decays(beta, k0, k1)
-        w = _order_stats(v, bounds, M - k1, 2 * k1 + 1)  # x~_{M-k1} .. x~_{M+k1}
+        w = _order_stats(v, bounds, r - k1, 2 * k1 + 1)  # x~_{r-k1} .. x~_{r+k1}
         if k1 - k0 <= _DENSE_K and (k1 - k0) * (k1 + 1) <= _DENSE_GAPS:  # every a_k
-            terms = d * _lag_maxima(w, k1, np.arange(k0, k1))
+            terms = d * _lag_maxima(w, k1, np.arange(k0, k1), cap)
         else:
-            # Exact skip: no gap of a_k exceeds the outer gap x~_{M+k+1} -
-            # x~_{M-k-1}, and a_k is at least either one-sided gap x~_{M+k+1} -
-            # x~_M or x~_M - x~_{M-k-1}; so a k whose decay * outer gap is at
+            # Exact skip: no gap of a_k exceeds the outer gap x~_{r+k+1} -
+            # x~_{r-k-1}, and a_k is at least either one-sided gap x~_{r+k+1} -
+            # x~_r or x~_r - x~_{r-k-1}; so a k whose decay * outer gap is at
             # most the running best of decay * one-sided gap cannot beat the
             # best before it.
             right = w[k1 + k0 + 1 :] - w[k1]
@@ -308,16 +240,16 @@ def _smooth_median(v: np.ndarray, bounds: DomainBounds, beta: float) -> float:
             outer = w[k1 + k0 + 1 :] - w[k1 - k0 - 1 :: -1]
             floor = np.maximum.accumulate(np.concatenate(([best], d * np.maximum(left, right))))
             c = (d * outer > floor[:-1]).nonzero()[0]
-            gaps = int(c.sum()) + (k0 + 2) * c.size if c.size > 64 else 0
+            gaps = int(np.minimum(c + (k0 + 2), cap).sum()) if c.size > 64 else 0
             if by_pairs and gaps > _PAIRS_SWITCH * k1.bit_length() * (k1 + 2048):
                 # the survivors' lag maxima would cost more than the pair search
-                s = _median_by_pairs(v, bounds, beta, best, k1)
+                s = _smooth_by_pairs(v, bounds, r, beta, best, k1)
                 if s is not None:
                     return s
                 by_pairs = False
             terms = np.zeros(k1 - k0)
             if c.size:
-                terms[c] = d[c] * _lag_maxima(w, k1, c + k0)
+                terms[c] = d[c] * _lag_maxima(w, k1, c + k0, cap)
         best, stopped = _fold(best, terms, d, span)
         if stopped:
             break
@@ -325,36 +257,38 @@ def _smooth_median(v: np.ndarray, bounds: DomainBounds, beta: float) -> float:
     return best
 
 
-def _first_outer_gap(v: np.ndarray, bounds: DomainBounds, M: int) -> int:
-    """The first k whose outer gap x~_{M+k+1} - x~_{M-k-1} is positive, or 0.
+def _first_outer_gap(v: np.ndarray, bounds: DomainBounds, r: int) -> int:
+    """The first k whose outer gap x~_{r+k+1} - x~_{r-k-1} is positive, or 0.
 
-    Below it the median sits inside a run of ties: every a_k is 0, so every
-    term is 0 and the scan may start there. (Had a decay underflowed to 0 on
-    the way, the scan stops where it starts, with the same result 0.0.)
+    Below it x~_r sits inside a run of ties: every a_k is 0, so every term is
+    0 and the scan may start there. (Had a decay underflowed to 0 on the way,
+    the scan stops where it starts, with the same result 0.0.)
     """
-    med = float(v[M - 1])
-    if not _stat(v, bounds, M - 1) == med == _stat(v, bounds, M + 1):
+    x = float(v[r - 1])
+    if not _stat(v, bounds, r - 1) == x == _stat(v, bounds, r + 1):
         return 0  # a_0 > 0
-    # 1-based positions of the first and last record equal to the median
-    first, last = int(v.searchsorted(med, "left")) + 1, int(v.searchsorted(med, "right"))
+    # 1-based positions of the first and last record equal to x~_r
+    first, last = int(v.searchsorted(x, "left")) + 1, int(v.searchsorted(x, "right"))
     # below x~_1 every statistic is min(Dom), above x~_n it is max(Dom); on a
     # one-point domain no gap is ever positive and no scan is needed
-    k_left = M - first if med > bounds.lower else v.size + 1
-    k_right = last - M if med < bounds.upper else v.size + 1
+    k_left = r - first if x > bounds.lower else v.size + 1
+    k_right = last - r if x < bounds.upper else v.size + 1
     return min(k_left, k_right)
 
 
-def _lag_maxima(w: np.ndarray, h: int, ks: np.ndarray) -> np.ndarray:
-    # a_k = max over t = 0..k+1 of x~_{M+t} - x~_{M+t-k-1}, for each k in the
-    # ascending ks, read from the contiguous window w = x~_{M-h} .. x~_{M+h}.
+def _lag_maxima(w: np.ndarray, h: int, ks: np.ndarray, cap: int) -> np.ndarray:
+    # a_k = max over t = 0..k+1 of x~_{r+t} - x~_{r+t-k-1}, for each k in the
+    # ascending ks, read from the contiguous window w = x~_{r-h} .. x~_{r+h}.
     # Row m of the gap matrix holds the gaps of ks[m], padded with zeros
-    # (a_k >= 0).
+    # (a_k >= 0). Past t = cap - 1 = n - r + 1 every gap is max(Dom) -
+    # x~_{r+t-k-1}, at most the gap at t = cap - 1 because float subtraction
+    # is monotone, so a row needs at most cap columns.
     k0, k_last = int(ks[0]), int(ks[-1])
-    width = k_last + 2
+    width = min(k_last + 2, cap)
     if ks.size > 1 and ks.size * width > _GATHER_LIMIT:
         half = ks.size // 2
-        return np.concatenate((_lag_maxima(w, h, ks[:half]), _lag_maxima(w, h, ks[half:])))
-    # row q of this view of w (no copy) is x~_{M+t-k-1}, t = 0..width-1, for k = k_last - q
+        return np.concatenate((_lag_maxima(w, h, ks[:half], cap), _lag_maxima(w, h, ks[half:], cap)))
+    # row q of this view of w (no copy) is x~_{r+t-k-1}, t = 0..width-1, for k = k_last - q
     lower = np.ndarray((k_last - k0 + 1, width), w.dtype, w, (h - 1 - k_last) * w.itemsize,
                        (w.itemsize, w.itemsize))
     lower = lower[::-1] if ks.size == k_last - k0 + 1 else lower[k_last - ks]
@@ -363,11 +297,11 @@ def _lag_maxima(w: np.ndarray, h: int, ks: np.ndarray) -> np.ndarray:
     return gaps.max(axis=1)
 
 
-def _median_by_pairs(v: np.ndarray, bounds: DomainBounds, beta: float, best: float, C: int):
-    """S(D) for the median by Nissim, Raskhodnikova and Smith's divide and conquer.
+def _smooth_by_pairs(v: np.ndarray, bounds: DomainBounds, r: int, beta: float, best: float, C: int):
+    """S(D) by Nissim, Raskhodnikova and Smith's divide and conquer.
 
     best is the scan's exact running best when it handed over, at some k <= C,
-    with no stop before. With i = M - s <= M <= j = M + t, the term of
+    with no stop before. With i = r - s <= r <= j = r + t, the term of
     distance k = s + t - 1 is the largest of (x~_j - x~_i) * exp(-beta k) over
     its pairs, so the best of the terms k < C is the best over the pairs with
     1 <= s + t <= C. When the decays do not increase in k, the scan's stop
@@ -377,14 +311,13 @@ def _median_by_pairs(v: np.ndarray, bounds: DomainBounds, beta: float, best: flo
     and the caller's scan goes on.
     """
     n = v.size
-    M = (n + 1) // 2
     span = bounds.span
     d = np.zeros(0)
     while True:
         d = np.concatenate((d, _decays(beta, d.size, C + 1)))
         if np.any(d[1:] > d[:-1]):
             return None
-        best = _pairs_max(_order_stats(v, bounds, M - C, 2 * C + 1), d[: C + 1], C, best, beta, span)
+        best = _pairs_max(_order_stats(v, bounds, r - C, 2 * C + 1), d[: C + 1], C, best, beta, span)
         if C == n + 1 or d[C] * span <= best:
             return best
         # decay_k * span falls to best near this k, so the stop comes no later
@@ -395,7 +328,7 @@ def _median_by_pairs(v: np.ndarray, bounds: DomainBounds, beta: float, best: flo
 def _pairs_max(w: np.ndarray, d: np.ndarray, C: int, best: float, beta: float, span: float) -> float:
     """max(best, max over 1 <= s + t <= C of (w[C+t] - w[C-s]) * d[s+t-1]), exactly.
 
-    Row s holds the pairs with i = M - s; its columns are t = [s == 0] .. C - s.
+    Row s holds the pairs with i = r - s; its columns are t = [s == 0] .. C - s.
     In exact arithmetic, with exact decays, the pair values have increasing
     differences: for i < i' and t < t', V(i, t') - V(i, t) <= V(i', t') - V(i', t).
     Hence, for any tolerance delta, a column within delta of row i's maximum
@@ -416,7 +349,7 @@ def _pairs_max(w: np.ndarray, d: np.ndarray, C: int, best: float, beta: float, s
     # of the product; tau covers subnormal decays and products
     eta = 4.0 * (8.0 + beta * C) * 2.0**-53
     tau = 4.0 * (span + 1.0) * 2.0**-1072
-    # every pair of lag k lies inside the outer gap x~_{M+k+1} - x~_{M-k-1}
+    # every pair of lag k lies inside the outer gap x~_{r+k+1} - x~_{r-k-1}
     slack = eta * float((d[:C] * (w[C + 1 :] - w[C - 1 :: -1])).max()) + tau
     dmax = np.maximum.accumulate(d[::-1])[::-1]  # largest decay at lag >= k
     sa = np.zeros(1, np.int64)
@@ -465,7 +398,7 @@ def local_sensitivity(d: Dataset, q: QuerySpec) -> float:
     return _ladder(d, q, 1)[0]
 
 
-def group_local_sensitivity(d: Dataset, q: QuerySpec, g: int) -> GroupSensitivity:
+def group_local_sensitivity(d: Dataset, q: QuerySpec, g: int) -> tuple[float, ...]:
     """Per-distance sensitivity ladder: entry i bounds |f(y) - f(D)| at distance <= i.
 
     Entry 1 equals the local sensitivity; entries are non-decreasing because
@@ -474,39 +407,22 @@ def group_local_sensitivity(d: Dataset, q: QuerySpec, g: int) -> GroupSensitivit
     """
     if g < 1:
         raise PreconditionError(f"group size must be >= 1, got {g}")
-    return GroupSensitivity(tuple(_ladder(d, q, g)))
+    return tuple(_ladder(d, q, g))
 
 
 def _ladder(d: Dataset, q: QuerySpec, g: int) -> list[float]:
     # rungs i = 1..g: the worst |f(y) - f(D)| over y within distance i of D
     v = d.values
     n = v.size
-    bounds = d.bounds
-    upper = bounds.upper
-
-    if q.kind == MEDIAN:
-        if n % 2 == 0 or n < 3:
-            raise PreconditionError(f"median sensitivity needs odd n >= 3, got {n}")
-        M = (n + 1) // 2
-        med = float(v[M - 1])
-        return [max(_stat(v, bounds, M + i) - med, med - _stat(v, bounds, M - i))
-                for i in range(1, g + 1)]
-    if q.kind == MAXIMUM:
-        if n < 2:
-            raise PreconditionError(f"maximum sensitivity needs n >= 2, got {n}")
-        # moving any record to the top of the domain raises the max to max(Dom)
-        top = float(v[-1])
-        return [max(upper - top, top - _stat(v, bounds, n - i)) for i in range(1, g + 1)]
-    if q.kind == SECOND_MAXIMUM:
-        if n < 3:
-            raise PreconditionError(f"second_maximum sensitivity needs n >= 3, got {n}")
-        top = float(v[-1])
-        runner_up = float(v[-2])
-        # one modification can promote the old maximum to second place, so
-        # rung 1 depends only on the top three values, never on the domain;
-        # two or more can plant a pair of records at max(Dom)
-        return [max(top - runner_up if i == 1 else upper - runner_up,
-                    runner_up - _stat(v, bounds, n - i - 1))
+    if not q.integer_valued:
+        least = 2 if q.kind == MAXIMUM else 3
+        if n < least or q.kind == MEDIAN and n % 2 == 0:
+            odd = "odd " if q.kind == MEDIAN else ""
+            raise PreconditionError(f"{q.kind} sensitivity needs {odd}n >= {least}, got {n}")
+        # i modified records move x~_r at most to x~_{r+i} or to x~_{r-i}
+        r = _rank(q, n)
+        x = float(v[r - 1])
+        return [max(_stat(v, d.bounds, r + i) - x, x - _stat(v, d.bounds, r - i))
                 for i in range(1, g + 1)]
     # i modified records move each count by at most i and at most `worst`,
     # the most any count can move. worst >= ceil(n/2): one count c has

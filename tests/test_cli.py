@@ -87,6 +87,24 @@ def test_answer_refuses_a_non_finite_release_and_keeps_the_charge(tmp_path, caps
         assert load_session(session).spent() == pytest.approx(0.5 * i)
 
 
+def _one_error_line(capsys, word):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and word in lines[0], lines
+
+
+def test_negative_seed_is_refused_before_anything_is_written(data_csv, tmp_path, capsys):
+    session = tmp_path / "session.json"
+    out = tmp_path / "ci.csv"
+    for argv in (_answer_args(data_csv, session, seed="-1"),
+                 ["bench", "ci-table", "--seed", "-1", "--trials", "100000", "--out", str(out)]):
+        assert main(argv) == 1
+        _one_error_line(capsys, "seed")
+    assert not session.exists()
+    assert not out.exists()
+
+
 def test_answer_is_reproducible_for_a_seed(data_csv, tmp_path, capsys):
     first = tmp_path / "a.json"
     second = tmp_path / "b.json"
@@ -153,6 +171,14 @@ def test_sensitivity_unbounded_encoding(data_csv, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["global"] == "unbounded"
     assert doc["smooth"] == "unbounded"
+
+
+def test_sensitivity_refuses_a_non_finite_beta(data_csv, capsys):
+    # beta = inf used to print "smooth": NaN and "beta": Infinity, which is not JSON
+    for beta in ("inf", "nan"):
+        assert main(["sensitivity", "--data", str(data_csv), "--query", "median",
+                     "--lower", "0", "--upper", "1", "--beta", beta]) == 1
+        _one_error_line(capsys, "beta")
 
 
 def test_bench_requires_a_table_or_verify(tmp_path, capsys):

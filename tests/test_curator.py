@@ -68,6 +68,9 @@ def test_config_rejects_bad_combinations():
         MechanismConfig("dp_smooth", 1.0)
     with pytest.raises(ConfigError, match="gamma > 1"):
         MechanismConfig("dp_smooth", 1.0, gamma=1.0)
+    for gamma in (math.inf, math.nan):  # beta = eps / gamma would be 0 or NaN
+        with pytest.raises(ConfigError, match="gamma > 1"):
+            MechanismConfig("dp_smooth", 1.0, gamma=gamma)
     with pytest.raises(ConfigError, match="admissible"):
         MechanismConfig("dp_smooth", 1.0, gamma=2.0, noise_family="laplace")
     with pytest.raises(ConfigError, match="dp_smooth only"):
@@ -212,13 +215,13 @@ def test_memoized_calibration_releases_what_a_fresh_dataset_releases():
 
 def test_smooth_sensitivity_is_computed_once_per_beta(monkeypatch):
     calls = []
-    smooth_median = sensitivity._smooth_median
+    smooth_rank = sensitivity._smooth_rank
 
-    def counting(v, bounds, beta):
+    def counting(v, bounds, r, beta):
         calls.append(beta)
-        return smooth_median(v, bounds, beta)
+        return smooth_rank(v, bounds, r, beta)
 
-    monkeypatch.setattr(sensitivity, "_smooth_median", counting)
+    monkeypatch.setattr(sensitivity, "_smooth_rank", counting)
     d = _d([0.1, 0.2, 0.4, 0.5, 0.7, 0.8, 0.9])
     ledger = _free_ledger()
     # eps/gamma = 0.25 three times, then 0.5

@@ -37,6 +37,9 @@ def test_param_validation():
         AdmissibleNoiseParams(1.0, 1.0)
     with pytest.raises(PreconditionError):
         AdmissibleNoiseParams(2.0, 0.0)
+    # numpy's SeedSequence would raise a bare ValueError
+    with pytest.raises(PreconditionError, match="seed"):
+        RandomSource(-1)
 
 
 def test_random_source_reproducible_and_open_interval():

@@ -95,6 +95,10 @@ def test_smooth_sensitivity_basics():
     assert smooth_sensitivity(d, q, 5.0) == pytest.approx(math.exp(-5.0))
     with pytest.raises(PreconditionError):
         smooth_sensitivity(d, q, 0.0)
+    # an infinite beta would turn the decay at k = 0 into -inf * 0 = NaN
+    for beta in (math.inf, -math.inf, math.nan):
+        with pytest.raises(PreconditionError, match="beta"):
+            smooth_sensitivity(d, q, beta)
     assert smooth_sensitivity(_d([0, 0, 1], DomainBounds(0, math.inf)), q, 0.3) == math.inf
 
 
@@ -115,9 +119,8 @@ def test_smooth_dominates_local_and_decays_in_beta():
 def test_group_ladder_worked_values():
     d = _d([0.12, 0.21, 0.33, 0.47, 0.55, 0.74, 0.89])
     lad = group_local_sensitivity(d, QuerySpec.median(), 3)
-    assert lad.g == 3
-    assert lad.per_distance == pytest.approx((0.14, 0.27, 0.42))
-    assert lad.per_distance[0] == pytest.approx(local_sensitivity(d, QuerySpec.median()))
+    assert lad == pytest.approx((0.14, 0.27, 0.42))
+    assert lad[0] == pytest.approx(local_sensitivity(d, QuerySpec.median()))
     with pytest.raises(PreconditionError):
         group_local_sensitivity(d, QuerySpec.median(), 0)
 
@@ -126,10 +129,10 @@ def test_group_ladder_counts_saturate():
     d = _d([0, 0, 1, 1, 1])
     lad = group_local_sensitivity(d, QuerySpec.range_count(0.5, 1.0), 5)
     # count is 3 of 5, so at most max(3, 2) = 3 records can change the answer
-    assert lad.per_distance == (1.0, 2.0, 3.0, 3.0, 3.0)
+    assert lad == (1.0, 2.0, 3.0, 3.0, 3.0)
     # each moved record changes the bin counts by up to 2 in L1
     hist = group_local_sensitivity(d, QuerySpec.histogram([0, 0.5, 1]), 4)
-    assert hist.per_distance == (2.0, 4.0, 6.0, 6.0)
+    assert hist == (2.0, 4.0, 6.0, 6.0)
 
 
 def _old_count_ladder(d, q, g):
@@ -162,7 +165,7 @@ def test_count_ladders_evaluate_only_past_half_n(monkeypatch):
             for q in qs:
                 for g in gs:
                     calls.clear()
-                    assert group_local_sensitivity(d, q, g).per_distance == \
+                    assert group_local_sensitivity(d, q, g) == \
                         _old_count_ladder(d, q, g), (n, q, g)
                     assert bool(calls) == (g > (n + 1) // 2)
 
@@ -174,8 +177,7 @@ def test_group_ladder_monotone_and_anchored():
     for _ in range(40):
         d = _d(rng.random(7))
         for q in qs:
-            lad = group_local_sensitivity(d, q, 4)
-            steps = lad.per_distance
+            steps = group_local_sensitivity(d, q, 4)
             assert steps[0] == pytest.approx(local_sensitivity(d, q))
             for i in range(1, 4):
                 assert steps[i] >= steps[i - 1] - 1e-12
@@ -293,12 +295,12 @@ def test_sensitivities_equal_the_plain_reference():
             for beta in (1e-4, 1e-3, 0.033, 0.5, 3.0):
                 assert smooth_sensitivity(d, q, beta) == _ref_smooth(d, q, beta), (d.n, q, beta)
             if d.n >= 3:
-                assert group_local_sensitivity(d, q, 6).per_distance == _ref_group(d, q, 6), (d.n, q)
+                assert group_local_sensitivity(d, q, 6) == _ref_group(d, q, 6), (d.n, q)
                 assert local_sensitivity(d, q) == _ref_group(d, q, 1)[0], (d.n, q)
         for bins in (10, 100):
             q = QuerySpec.histogram(np.linspace(d.bounds.lower, d.bounds.upper, bins + 1).tolist())
             for g in (1, 4):
-                assert group_local_sensitivity(d, q, g).per_distance == _ref_group(d, q, g), (d.n, bins, g)
+                assert group_local_sensitivity(d, q, g) == _ref_group(d, q, g), (d.n, bins, g)
 
 
 # stop indices on, just before and just after the scans' block edges: a scan
@@ -363,6 +365,6 @@ def test_smooth_sensitivity_grows_near_linearly_in_the_stop_index():
             times.append(time.perf_counter() - start)
         return min(times)
 
-    for q in (QuerySpec.median(), QuerySpec.maximum()):
+    for q in (QuerySpec.median(), QuerySpec.maximum(), QuerySpec.second_maximum()):
         ratio = best_of_three(q, 2.5e-5) / best_of_three(q, 1e-4)
         assert ratio < 8.0, f"{q.kind}: beta / 4 took {ratio:.1f}x the time"
