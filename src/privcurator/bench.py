@@ -3,21 +3,23 @@
 Every runner returns plain row dictionaries ready for csv.DictWriter, so the
 CLI stays a thin wrapper and tests can assert on the numbers directly. Rows
 are deterministic for a fixed seed: the error grid derives three independent
-streams per cell from (seed, cell index), one for the data and one per
-regime's noise, and the trials of the cell continue those streams.
+streams per cell from (seed, cell index), one for the data, which the trials
+of the cell continue, and one per regime's noise, from which each regime
+draws the noise of every trial in the cell at once.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import operator
 from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
 
 import numpy as np
 
-from .curator import BudgetLedger, MechanismConfig, answer
+from .curator import BudgetLedger, Calibration, MechanismConfig, answer, calibrate, release
 from .dataset import SYNTH_DISTRIBUTIONS, Dataset, DomainBounds, synthesize
 from .errors import BudgetExceededError, PreconditionError
 from .noise import (
@@ -58,7 +60,7 @@ class ExperimentPlan:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "distributions", tuple(self.distributions))
-        object.__setattr__(self, "sizes", tuple(int(s) for s in self.sizes))
+        object.__setattr__(self, "sizes", tuple(_plan_int("size", s) for s in self.sizes))
         object.__setattr__(self, "epsilons", tuple(float(e) for e in self.epsilons))
         for dist in self.distributions:
             if dist not in SYNTH_DISTRIBUTIONS:
@@ -71,12 +73,24 @@ class ExperimentPlan:
         for eps in self.epsilons:
             if not 0.5 <= eps <= 1.0:
                 raise PreconditionError(f"epsilon must lie in [0.5, 1], got {eps}")
+        object.__setattr__(self, "trials", _plan_int("trials", self.trials))
+        object.__setattr__(self, "seed", _plan_int("seed", self.seed))
         if self.trials < 1:
             raise PreconditionError(f"trials must be >= 1, got {self.trials}")
-        if not self.gamma > 1.0:
-            raise PreconditionError(f"gamma must be > 1, got {self.gamma}")
+        if not (self.gamma > 1.0 and math.isfinite(self.gamma)):
+            raise PreconditionError(f"gamma must be finite and > 1, got {self.gamma}")
         if self.seed < 0:
             raise PreconditionError(f"seed must be non-negative, got {self.seed}")
+
+
+def _plan_int(name: str, value) -> int:
+    """value as a plain int; a bool or a non-integral number is refused."""
+    if isinstance(value, (bool, np.bool_)):
+        raise PreconditionError(f"{name} must be an integer, not a bool")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise PreconditionError(f"{name} must be an integer, got {value!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -126,13 +140,22 @@ def run_error_grid(plan: ExperimentPlan) -> list[dict]:
     """Mean absolute error of the noisy median per (distribution, n, epsilon) cell.
 
     Each trial draws a fresh dataset (bounds recomputed per draw for the
-    unbounded-support distributions) and both regimes answer the same data,
-    each with a fresh ledger. A cell seeds three independent streams once,
-    spawned from SeedSequence((plan.seed, cell index)): a Generator that every
-    trial's dataset is drawn from, and one RandomSource per regime that every
-    trial's release draws its noise from. Within a cell the trials are i.i.d.
-    Even plan sizes drop to the nearest odd size so the median is defined;
-    the CSV reports the size actually used.
+    unbounded-support distributions), and both regimes calibrate to the same
+    data; the true median is the calibration's exact value. A cell seeds
+    three independent streams once, spawned from SeedSequence((plan.seed,
+    cell index)): a Generator that every trial's dataset is drawn from, and
+    one RandomSource per regime. Each regime's noise for the whole cell is
+    one draw from its source, one value per trial in trial order (see
+    curator.release). Within a cell the trials are i.i.d. Even plan sizes
+    drop to the nearest odd size so the median is defined; the CSV reports
+    the size actually used.
+
+    The idp_local rows equal those of one answer() per trial. The dp_smooth
+    rows follow the same noise law but not the same values as one answer()
+    per trial: a size-T admissible draw takes all first gamma variates, then
+    all first uniforms, and so on, where single draws interleave them per
+    trial. The dp_smooth stream layout changed to this one when the grid
+    began drawing a cell's noise at once.
     """
     rows = []
     cells = list(product(plan.distributions, plan.sizes, plan.epsilons))
@@ -144,20 +167,20 @@ def run_error_grid(plan: ExperimentPlan) -> list[dict]:
             ("idp_local", MechanismConfig("idp_local", eps), RandomSource(local_seq)),
             ("dp_smooth", MechanismConfig("dp_smooth", eps, gamma=plan.gamma), RandomSource(smooth_seq)),
         )
-        errors: dict[str, list[float]] = {regime: [] for regime, _, _ in regimes}
+        cals: dict[str, list[Calibration]] = {regime: [] for regime, _, _ in regimes}
         for _ in range(plan.trials):
             d = synthesize(dist, n, data_rng)
-            true_value = evaluate(d, _MEDIAN)
-            for regime, cfg, rng in regimes:
-                out = answer(d, _MEDIAN, cfg, rng, BudgetLedger(math.inf))
-                errors[regime].append(abs(out.value - true_value))
-        for regime, _, _ in regimes:
+            for regime, cfg, _ in regimes:
+                cals[regime].append(calibrate(d, _MEDIAN, cfg))
+        for regime, _, rng in regimes:
+            noisy = release(cals[regime], rng)
+            errors = [abs(y - cal.value) for y, cal in zip(noisy, cals[regime])]
             rows.append({
                 "distribution": dist,
                 "n": n,
                 "epsilon": eps,
                 "regime": regime,
-                "mae": math.fsum(errors[regime]) / plan.trials,
+                "mae": math.fsum(errors) / plan.trials,
                 "trials": plan.trials,
             })
     return rows

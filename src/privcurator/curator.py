@@ -24,7 +24,8 @@ import math
 import operator
 import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -452,7 +453,7 @@ def answer(
     cal = calibrate(d, q, cfg)
     ledger.charge(cfg.epsilon, q.to_string())
 
-    value = _sample_value(cal, rng)
+    (value,) = release([cal], rng)
     return NoisyAnswer(
         value=value,
         query=q,
@@ -462,27 +463,97 @@ def answer(
     )
 
 
-def _sample_value(cal: Calibration, rng: RandomSource):
-    vector = isinstance(cal.value, np.ndarray)
-    if cal.family == "exact":
-        return cal.value.tolist() if vector else cal.value
+def release(cals: list[Calibration], rng: RandomSource) -> list:
+    """Draw the noise of every calibration in one sampler call; return the
+    published values, one per calibration, in list order.
 
-    size = cal.value.size if vector else None
-    if cal.family == "laplace":
-        noise = sample_laplace(LaplaceParams(0.0, cal.param), rng, size)
-    elif cal.family == "discrete_laplace":
-        noise = sample_discrete_laplace(DiscreteLaplaceParams(cal.param), rng, size)
-    else:
-        noise = sample_admissible(AdmissibleNoiseParams(cal.gamma, cal.param), rng, size)
+    The calibrations share one noise family (exact ones aside): Laplace at
+    any scales, discrete Laplace at one alpha, or admissible noise at one
+    gamma and any scales. Every scale or alpha passes its sampler's parameter
+    check, and an exact calibration draws nothing. A lone calibration draws
+    at its own parameters, with size None for a scalar, so answer() does no
+    array work. Several share one draw with one element per released number,
+    calibrations and histogram bins in list order. Laplace and admissible
+    noise is drawn at unit scale and each element multiplied by its
+    calibration's scale: both samplers end in scale * (unit draw), so the
+    product is bit for bit the draw at that scale. For Laplace noise the
+    size-k draw is also the stream that one answer() per calibration would
+    consume; samplers that take several uniforms per value (discrete
+    Laplace, admissible) lay a size-k draw out in blocks instead, so the
+    same stream gives other, identically distributed, values.
 
-    noisy = cal.value + noise
-    if vector:  # int64 counts under discrete noise are always finite
-        finite = noisy.dtype.kind != "f" or bool(np.isfinite(noisy).all())
+    A noisy value that is not finite is refused with ConfigError (see answer).
+    """
+    if len(cals) == 1:
+        (cal,) = cals
+        if cal.family == "exact":
+            return [_published(cal.value)]
+        return [_add_noise(cal.value, _noise_params(cal.family, cal.param, cal.gamma), rng)]
+
+    noisy = [c for c in cals if c.family != "exact"]
+    if not noisy:
+        return [_published(c.value) for c in cals]
+    family, gamma = noisy[0].family, noisy[0].gamma
+    if any(c.family != family or c.gamma != gamma for c in noisy):
+        raise PreconditionError("release draws one noise family at one gamma per call")
+    scales = np.array([c.param for c in noisy])
+    # Each check accepts an interval of scales (or alphas), so all pass once
+    # the extremes do; min and max propagate a NaN.
+    lowest = _noise_params(family, float(scales.min()), gamma)
+    highest = _noise_params(family, float(scales.max()), gamma)
+    vectors = any(isinstance(c.value, np.ndarray) for c in noisy)
+    if vectors:
+        values = np.concatenate([np.atleast_1d(c.value) for c in noisy])
+        scales = np.repeat(scales, [np.size(c.value) for c in noisy])
     else:
+        values = np.array([c.value for c in noisy])
+    if family == "discrete_laplace":
+        if lowest != highest:
+            raise PreconditionError("release draws discrete Laplace noise at one alpha per call")
+        flat = _add_noise(values, lowest, rng)
+    else:
+        flat = _add_noise(values, _noise_params(family, 1.0, gamma), rng, scales)
+    if len(noisy) == len(cals) and not vectors:
+        return flat
+    flat = iter(flat)
+    return [_published(c.value) if c.family == "exact"
+            else list(islice(flat, c.value.size)) if isinstance(c.value, np.ndarray)
+            else next(flat)
+            for c in cals]
+
+
+def _add_noise(value, params, rng: RandomSource, scales=None):
+    """value plus one draw at params (times scales, elementwise), as published."""
+    size = value.size if isinstance(value, np.ndarray) else None
+    if type(params) is LaplaceParams:
+        noise = sample_laplace(params, rng, size)
+    elif type(params) is DiscreteLaplaceParams:
+        noise = sample_discrete_laplace(params, rng, size)
+    else:
+        noise = sample_admissible(params, rng, size)
+    if scales is not None:
+        noise = noise * scales
+
+    noisy = value + noise
+    if size is None:
         finite = math.isfinite(noisy)
+    else:  # int64 counts under discrete noise are always finite
+        finite = noisy.dtype.kind != "f" or bool(np.isfinite(noisy).all())
     if not finite:
         raise ConfigError("the noisy value overflowed to a non-finite value and is refused; "
                           "its epsilon stays spent")
-    if vector:
-        return noisy.tolist()  # int64 counts stay ints under discrete noise
-    return int(noisy) if isinstance(noise, int) else float(noisy)
+    if size is None:
+        return int(noisy) if isinstance(noise, int) else float(noisy)
+    return noisy.tolist()  # int64 counts stay ints under discrete noise
+
+
+def _noise_params(family: str, param: float, gamma: float | None):
+    if family == "laplace":
+        return LaplaceParams(0.0, param)
+    if family == "discrete_laplace":
+        return DiscreteLaplaceParams(param)
+    return AdmissibleNoiseParams(gamma, param)
+
+
+def _published(value):
+    return value.tolist() if isinstance(value, np.ndarray) else value

@@ -110,8 +110,8 @@ def brute_local_sensitivity(d: Dataset, q: QuerySpec, grid: GridDomain) -> float
 
 def brute_smooth_sensitivity(d: Dataset, q: QuerySpec, beta: float, grid: GridDomain) -> float:
     """max over every grid dataset y of LS(y) * exp(-beta * d(D, y))."""
-    if not beta > 0:
-        raise PreconditionError(f"beta must be positive, got {beta}")
+    if not (beta > 0 and math.isfinite(beta)):
+        raise PreconditionError(f"beta must be positive and finite, got {beta}")
     base = _require_on_grid(d, grid)
     best = 0.0
     for y in grid.datasets():

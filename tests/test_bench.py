@@ -2,14 +2,26 @@
 
 import csv
 import math
+from itertools import product
 
 import numpy as np
 import pytest
 
-from privcurator import bench
+from privcurator import bench, curator
 from privcurator import (
+    AdmissibleNoiseParams,
+    BudgetLedger,
+    ConfigError,
     ExperimentPlan,
+    MechanismConfig,
     PreconditionError,
+    QuerySpec,
+    RandomSource,
+    answer,
+    calibrate,
+    evaluate,
+    sample_admissible,
+    synthesize,
     default_profile_grid,
     run_ci_table,
     run_error_grid,
@@ -39,6 +51,23 @@ def test_plan_validation():
         ExperimentPlan(gamma=1.0)
     with pytest.raises(PreconditionError, match="seed"):
         ExperimentPlan(seed=-1)
+
+
+def test_plan_refuses_bools_fractions_and_a_non_finite_gamma():
+    # these used to pass construction and then fail or misreport mid-run
+    for name in ("trials", "seed"):
+        for bad in (True, np.True_, 2.5, 1.0, "3"):
+            with pytest.raises(PreconditionError, match=name):
+                ExperimentPlan(**{name: bad})
+    for bad in (math.inf, math.nan):
+        with pytest.raises(PreconditionError, match="gamma"):
+            ExperimentPlan(gamma=bad)
+    for bad in (10.9, 10.0, True):
+        with pytest.raises(PreconditionError, match="size"):
+            ExperimentPlan(sizes=(bad,))
+    plan = ExperimentPlan(trials=np.int64(7), seed=np.uint8(3))
+    assert (plan.trials, plan.seed) == (7, 3)
+    assert type(plan.trials) is int and type(plan.seed) is int
 
 
 def test_ci_table_shapes_and_ordering():
@@ -89,6 +118,56 @@ def test_error_grid_seeds_each_cell_once(monkeypatch):
                               epsilons=(1.0,), trials=trials, seed=5)
         assert len(run_error_grid(plan)) == 2
         assert len(built) == 2
+
+
+def _reference_grid(plan):
+    """The grid cell by cell: idp_local as one answer() per trial, dp_smooth
+    as one calibration per trial and one size-T admissible draw."""
+    median = QuerySpec.median()
+    rows = []
+    cells = product(plan.distributions, plan.sizes, plan.epsilons)
+    for ci, (dist, size, eps) in enumerate(cells):
+        n = size if size % 2 == 1 else size - 1
+        data_seq, local_seq, smooth_seq = np.random.SeedSequence((plan.seed, ci)).spawn(3)
+        data_rng = np.random.default_rng(data_seq)
+        local_rng = RandomSource(local_seq)
+        local_cfg = MechanismConfig("idp_local", eps)
+        smooth_cfg = MechanismConfig("dp_smooth", eps, gamma=plan.gamma)
+        local_errors, smooth_cals = [], []
+        for _ in range(plan.trials):
+            d = synthesize(dist, n, data_rng)
+            truth = evaluate(d, median)
+            out = answer(d, median, local_cfg, local_rng, BudgetLedger(math.inf))
+            local_errors.append(abs(out.value - truth))
+            smooth_cals.append(calibrate(d, median, smooth_cfg))
+        assert all(c.family == "admissible" for c in smooth_cals)
+        z = sample_admissible(AdmissibleNoiseParams(plan.gamma, 1.0),
+                              RandomSource(smooth_seq), size=plan.trials)
+        smooth_errors = [abs((c.value + c.param * float(zi)) - c.value)
+                         for c, zi in zip(smooth_cals, z)]
+        for regime, errors in (("idp_local", local_errors), ("dp_smooth", smooth_errors)):
+            rows.append({"distribution": dist, "n": n, "epsilon": eps, "regime": regime,
+                         "mae": math.fsum(errors) / plan.trials, "trials": plan.trials})
+    return rows
+
+
+@pytest.mark.parametrize("trials", [1, 7, 30])
+def test_error_grid_equals_the_reference_loop(trials):
+    plan = ExperimentPlan(sizes=(10, 100), epsilons=(0.5, 1.0), trials=trials, seed=trials)
+    rows = run_error_grid(plan)
+    assert len(rows) == 3 * 2 * 2 * 2
+    assert rows == _reference_grid(plan)
+
+
+@pytest.mark.parametrize("sampler", ["sample_laplace", "sample_admissible"])
+def test_error_grid_refuses_a_non_finite_draw(monkeypatch, sampler):
+    def overflowing(params, rng, size=None):
+        return math.inf if size is None else np.full(size, math.inf)
+
+    monkeypatch.setattr(curator, sampler, overflowing)
+    plan = ExperimentPlan(distributions=("uniform01",), sizes=(10,), epsilons=(1.0,), trials=5)
+    with pytest.raises(ConfigError, match="non-finite"):
+        run_error_grid(plan)
 
 
 def test_error_grid_local_beats_smooth():

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import privcurator
 from privcurator import (
     BudgetExceededError,
     BudgetLedger,
@@ -388,6 +389,74 @@ def test_answer_refuses_a_non_finite_release_and_keeps_the_charge():
         assert ledger.spent() == pytest.approx(0.5 * i)
     # a neighboring seed draws a finite value and releases it
     assert math.isfinite(answer(d, QuerySpec.median(), cfg, RandomSource(1), ledger).value)
+
+
+def test_release_draws_what_one_answer_per_calibration_draws():
+    # Laplace calibrations at different scales, with an exact one in the middle
+    datasets = [_d([0.1, 0.4, 0.5, 0.8, 0.9]), _d([0.0, 0.2, 0.3, 0.9, 1.0]),
+                _d([0.0] * 9 + [1.0] * 90), _d([0.2, 0.25, 0.7]), _d([0.3, 0.6, 0.65, 0.9, 1.0])]
+    q = QuerySpec.median()
+    cfg = MechanismConfig("idp_local", 0.5)
+    cals = [calibrate(d, q, cfg) for d in datasets]
+    assert [c.family for c in cals] == ["laplace", "laplace", "exact", "laplace", "laplace"]
+    assert len({c.param for c in cals}) == 5
+    batched = curator.release(cals, RandomSource(11))
+    rng = RandomSource(11)
+    singles = [answer(d, q, cfg, rng, _free_ledger()).value for d in datasets]
+    assert batched == singles
+    assert [math.copysign(1.0, v) for v in batched] == [math.copysign(1.0, v) for v in singles]
+    assert batched[2] == 1.0
+    assert all(type(v) is float for v in batched)
+
+
+def test_release_lays_out_histograms_and_scalars_in_list_order():
+    d = _d([0.1, 0.2, 0.6, 0.7, 0.9])
+    cfg = MechanismConfig("dp_global", 0.75)
+    queries = [QuerySpec.histogram([0.0, 0.5, 1.0]), QuerySpec.range_count(0.5, 1.0),
+               QuerySpec.histogram(np.linspace(0.0, 1.0, 5))]
+    batched = curator.release([calibrate(d, q, cfg) for q in queries], RandomSource(2))
+    rng = RandomSource(2)
+    assert batched == [answer(d, q, cfg, rng, _free_ledger()).value for q in queries]
+    assert [len(batched[0]), len(batched[2])] == [2, 4]
+    one_bin = calibrate(d, QuerySpec.histogram([0.0, 1.0]), cfg)
+    out = curator.release([one_bin, one_bin], RandomSource(2))
+    assert [len(v) for v in out] == [1, 1]
+
+    # discrete Laplace at one alpha keeps integer counts
+    cfg = MechanismConfig("dp_global", 0.75, noise_family="discrete_laplace")
+    cal = calibrate(d, QuerySpec.range_count(0.5, 1.0), cfg)
+    out = curator.release([cal, cal, cal], RandomSource(2))
+    assert len(out) == 3 and all(type(v) is int for v in out)
+    hist = calibrate(d, QuerySpec.histogram([0.0, 0.5, 1.0]), cfg)
+    assert all(type(v) is int for v in curator.release([hist], RandomSource(2))[0])
+
+
+def test_release_refuses_mixed_noise_and_bad_parameters():
+    d = _d([0.1, 0.4, 0.5, 0.8, 0.9])
+    q = QuerySpec.range_count(0.5, 1.0)
+    lap = calibrate(d, q, MechanismConfig("dp_global", 1.0))
+    dl = calibrate(d, q, MechanismConfig("dp_global", 1.0, noise_family="discrete_laplace"))
+    dl2 = calibrate(d, q, MechanismConfig("dp_global", 0.5, noise_family="discrete_laplace"))
+    smooth = calibrate(d, QuerySpec.median(), MechanismConfig("dp_smooth", 1.0, gamma=3.0))
+    smooth2 = calibrate(d, QuerySpec.median(), MechanismConfig("dp_smooth", 1.0, gamma=2.0))
+    for cals in ([lap, dl], [dl, dl2], [smooth, smooth2], [lap, smooth]):
+        with pytest.raises(PreconditionError):
+            curator.release(cals, RandomSource(0))
+    # every scale passes the sampler's parameter check, not only the first
+    for scale in (math.inf, math.nan, 0.0, -1.0):
+        bad = dataclasses.replace(lap, param=scale)
+        with pytest.raises(PreconditionError, match="scale"):
+            curator.release([lap, bad, lap], RandomSource(0))
+        bad = dataclasses.replace(smooth, param=scale)
+        with pytest.raises(PreconditionError, match="scale"):
+            curator.release([smooth, bad, smooth], RandomSource(0))
+    bad = dataclasses.replace(dl, param=math.nan)
+    with pytest.raises(PreconditionError, match="alpha"):
+        curator.release([dl, bad, dl], RandomSource(0))
+    exact = dataclasses.replace(lap, family="exact", param=0.0)
+    assert curator.release([exact, exact], RandomSource(0)) == [lap.value, lap.value]
+    assert curator.release([], RandomSource(0)) == []
+    assert "release" not in privcurator.__all__
 
 
 def test_answer_json_shape():

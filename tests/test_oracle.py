@@ -84,6 +84,16 @@ def test_brute_force_rejects_bad_inputs():
         brute_smooth_sensitivity(ok, QuerySpec.median(), 0.0, grid)
 
 
+@pytest.mark.parametrize("beta", [math.inf, -math.inf, math.nan])
+def test_brute_smooth_refuses_a_non_finite_beta(beta):
+    # exp(-inf * 0) is NaN, and max(0.0, LS * NaN) silently kept 0.0 on this
+    # data, where the beta -> inf limit is LS(D) = 0.5
+    grid = GridDomain((0.0, 0.5, 1.0), 3)
+    d = _on_grid([0.0, 0.5, 1.0], grid)
+    with pytest.raises(PreconditionError, match="beta"):
+        brute_smooth_sensitivity(d, QuerySpec.median(), beta, grid)
+
+
 def test_verify_ratio_bound_validation():
     d = _on_grid([0, 0, 0, 0, 1], G2)
     with pytest.raises(PreconditionError, match="distance"):
