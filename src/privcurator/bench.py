@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from itertools import product
@@ -19,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .curator import BudgetLedger, Calibration, MechanismConfig, answer, calibrate, release
+from .curator import BudgetLedger, Calibration, MechanismConfig, answer, calibrate_many, release
 from .dataset import SYNTH_DISTRIBUTIONS, Dataset, DomainBounds, synthesize
 from .errors import BudgetExceededError, PreconditionError
 from .noise import (
@@ -39,7 +40,7 @@ from .oracle import (
     verify_ratio_bound,
 )
 from .queries import QuerySpec, evaluate
-from .sensitivity import local_sensitivity, smooth_sensitivity
+from .sensitivity import _DENSE_K, _GATHER_LIMIT, local_sensitivity, smooth_sensitivity
 
 PLAN_SIZES = (10, 100, 1000)
 PLAN_EPSILONS = (0.5, 0.75, 1.0)
@@ -61,7 +62,7 @@ class ExperimentPlan:
     def __post_init__(self) -> None:
         object.__setattr__(self, "distributions", tuple(self.distributions))
         object.__setattr__(self, "sizes", tuple(_plan_int("size", s) for s in self.sizes))
-        object.__setattr__(self, "epsilons", tuple(float(e) for e in self.epsilons))
+        object.__setattr__(self, "epsilons", tuple(_plan_real("epsilon", e) for e in self.epsilons))
         for dist in self.distributions:
             if dist not in SYNTH_DISTRIBUTIONS:
                 raise PreconditionError(f"unknown distribution {dist!r}")
@@ -77,10 +78,18 @@ class ExperimentPlan:
         object.__setattr__(self, "seed", _plan_int("seed", self.seed))
         if self.trials < 1:
             raise PreconditionError(f"trials must be >= 1, got {self.trials}")
+        object.__setattr__(self, "gamma", _plan_real("gamma", self.gamma))
         if not (self.gamma > 1.0 and math.isfinite(self.gamma)):
             raise PreconditionError(f"gamma must be finite and > 1, got {self.gamma}")
         if self.seed < 0:
             raise PreconditionError(f"seed must be non-negative, got {self.seed}")
+
+
+def _plan_real(name: str, value) -> float:
+    """value as a float; a bool or a value that is not a real number is refused."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+        raise PreconditionError(f"{name} must be a real number, got {value!r}")
+    return float(value)
 
 
 def _plan_int(name: str, value) -> int:
@@ -144,11 +153,16 @@ def run_error_grid(plan: ExperimentPlan) -> list[dict]:
     data; the true median is the calibration's exact value. A cell seeds
     three independent streams once, spawned from SeedSequence((plan.seed,
     cell index)): a Generator that every trial's dataset is drawn from, and
-    one RandomSource per regime. Each regime's noise for the whole cell is
-    one draw from its source, one value per trial in trial order (see
-    curator.release). Within a cell the trials are i.i.d. Even plan sizes
-    drop to the nearest odd size so the median is defined; the CSV reports
-    the size actually used.
+    one RandomSource per regime. The cell's datasets are drawn first, in
+    trial order, and then each regime calibrates them in one call (see
+    curator.calibrate_many, which stacks dp_smooth's smooth sensitivity
+    scans). A cell of more trials than one gap tensor of the stacked scan
+    holds at its longest first block (63) runs in chunks of that many
+    trials, so it never holds more datasets at once. Each regime's noise
+    for the whole cell is one draw from its source, one value per trial in
+    trial order (see curator.release). Within a cell the trials are i.i.d.
+    Even plan sizes drop to the nearest odd size so the median is defined;
+    the CSV reports the size actually used.
 
     The idp_local rows equal those of one answer() per trial. The dp_smooth
     rows follow the same noise law but not the same values as one answer()
@@ -159,6 +173,7 @@ def run_error_grid(plan: ExperimentPlan) -> list[dict]:
     """
     rows = []
     cells = list(product(plan.distributions, plan.sizes, plan.epsilons))
+    chunk = _GATHER_LIMIT // (_DENSE_K * (_DENSE_K + 1))
     for ci, (dist, size, eps) in enumerate(cells):
         n = size if size % 2 == 1 else size - 1
         data_seq, local_seq, smooth_seq = np.random.SeedSequence((plan.seed, ci)).spawn(3)
@@ -168,10 +183,10 @@ def run_error_grid(plan: ExperimentPlan) -> list[dict]:
             ("dp_smooth", MechanismConfig("dp_smooth", eps, gamma=plan.gamma), RandomSource(smooth_seq)),
         )
         cals: dict[str, list[Calibration]] = {regime: [] for regime, _, _ in regimes}
-        for _ in range(plan.trials):
-            d = synthesize(dist, n, data_rng)
+        for first in range(0, plan.trials, chunk):
+            datasets = [synthesize(dist, n, data_rng) for _ in range(min(chunk, plan.trials - first))]
             for regime, cfg, _ in regimes:
-                cals[regime].append(calibrate(d, _MEDIAN, cfg))
+                cals[regime].extend(calibrate_many(datasets, _MEDIAN, cfg))
         for regime, _, rng in regimes:
             noisy = release(cals[regime], rng)
             errors = [abs(y - cal.value) for y, cal in zip(noisy, cals[regime])]

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import operator
 import os
 import threading
@@ -52,6 +53,7 @@ from .sensitivity import (
     global_sensitivity,
     group_local_sensitivity,
     local_sensitivity,
+    smooth_sensitivities,
     smooth_sensitivity,
 )
 
@@ -76,6 +78,10 @@ class MechanismConfig:
         for name in ("epsilon", "gamma", "group_size"):
             if isinstance(getattr(self, name), (bool, np.bool_)):
                 raise ConfigError(f"{name} must be a number, not a bool")
+        if not isinstance(self.epsilon, numbers.Real):
+            raise ConfigError(f"epsilon must be a real number, got {self.epsilon!r}")
+        if self.gamma is not None and not isinstance(self.gamma, numbers.Real):
+            raise ConfigError(f"gamma must be a real number, got {self.gamma!r}")
         if not (self.epsilon > 0 and math.isfinite(self.epsilon)):
             raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
         if self.regime == "dp_smooth":
@@ -332,6 +338,7 @@ def calibrate(d: Dataset, q: QuerySpec, cfg: MechanismConfig) -> Calibration:
 
     Shared by answer() and by the ratio-verification oracle, which needs the
     mechanism fixed from the actual dataset before probing its neighbors.
+    This is calibrate_many([d], q, cfg)[0].
 
     The costly inputs are pure functions of the dataset and the public query,
     so they are memoized on the dataset (see Dataset): histogram counts, kept
@@ -345,33 +352,71 @@ def calibrate(d: Dataset, q: QuerySpec, cfg: MechanismConfig) -> Calibration:
     A hit versus a miss shows only whether this query, at this beta or group
     size, was asked of this dataset before. A dataset must not be mutated.
     """
-    if q.vector_valued:
-        value = _memoized(d, ("value", q), lambda: _read_only(evaluate(d, q)))
-    else:
+    return calibrate_many([d], q, cfg)[0]
+
+
+def calibrate_many(datasets: list[Dataset], q: QuerySpec, cfg: MechanismConfig) -> list[Calibration]:
+    """[calibrate(d, q, cfg) for d in datasets], with dp_smooth's scans stacked.
+
+    Every calibration, memo entry and error is the one of that loop: the
+    first dataset that fails raises what calibrate raises for it. Under
+    dp_smooth an order statistic's S(D) misses the memo on some datasets;
+    those misses are computed together, the datasets of one size as one
+    stacked scan (see sensitivity.smooth_sensitivities), and each S(D) is
+    stored in its own dataset's memo, in list order. Every other regime and
+    query kind calibrates one dataset at a time.
+    """
+    if cfg.regime != "dp_smooth" or q.integer_valued:
+        out = []
+        for d in datasets:
+            if q.vector_valued:
+                value = _memoized(d, ("value", q), lambda: _read_only(evaluate(d, q)))
+            else:
+                value = evaluate(d, q)
+            family = cfg.noise_family
+            if cfg.regime == "dp_global":
+                sens = global_sensitivity(q, d.bounds, d.n)
+            elif cfg.regime == "idp_local":
+                sens = local_sensitivity(d, q)
+            elif cfg.regime == "gdp":
+                g = cfg.group_size
+                if q.kind == RANGE_COUNT:
+                    sens = _group_scale(d, q, g)
+                else:
+                    sens = _memoized(d, ("gdp", q, g), lambda: _group_scale(d, q, g))
+            else:  # dp_smooth of a count: a constant, whatever the data
+                sens, family = smooth_sensitivity(d, q, cfg.epsilon / cfg.gamma), "admissible"
+            out.append(_calibration(value, sens, family, q, cfg))
+        return out
+
+    beta = cfg.epsilon / cfg.gamma
+    key = ("smooth", q, beta)
+    out, misses = [], []  # misses: (position, dataset, value)
+    for d in datasets:
         value = evaluate(d, q)
-    eps = cfg.epsilon
-
-    if cfg.regime == "dp_global":
-        sens = global_sensitivity(q, d.bounds, d.n)
-        family = cfg.noise_family
-    elif cfg.regime == "idp_local":
-        sens = local_sensitivity(d, q)
-        family = cfg.noise_family
-    elif cfg.regime == "gdp":
-        g = cfg.group_size
-        if q.kind == RANGE_COUNT:
-            sens = _group_scale(d, q, g)
+        s = d._memo.get(key, _MISSING)
+        if s is not _MISSING:
+            out.append(_calibration(value, s, "admissible", q, cfg))
+            continue
+        if not (d.bounds.is_bounded and beta > 0):
+            # raises what calibrate raises, before any later dataset is seen
+            _calibration(value, smooth_sensitivity(d, q, beta), "admissible", q, cfg)
+        misses.append((len(out), d, value))
+        out.append(None)
+    if misses:
+        todo = [d for _, d, _ in misses]
+        if len(todo) == 1:  # the single-dataset entry point, with no grouping by size
+            scanned = [smooth_sensitivity(todo[0], q, beta)]
         else:
-            sens = _memoized(d, ("gdp", q, g), lambda: _group_scale(d, q, g))
-        family = cfg.noise_family
-    else:
-        beta = eps / cfg.gamma
-        if q.integer_valued:  # a constant, whatever the data
-            sens = smooth_sensitivity(d, q, beta)
-        else:
-            sens = _memoized(d, ("smooth", q, beta), lambda: smooth_sensitivity(d, q, beta))
-        family = "admissible"
+            scanned = smooth_sensitivities(todo, q, beta)
+        for (i, d, value), s in zip(misses, scanned):
+            _remember(d, key, s)
+            out[i] = _calibration(value, s, "admissible", q, cfg)
+    return out
 
+
+def _calibration(value, sens: float, family: str, q: QuerySpec, cfg: MechanismConfig) -> Calibration:
+    # the noise plan for one dataset's value at sensitivity sens
     if math.isinf(sens):
         raise SensitivityError(
             f"{cfg.regime} needs a finite sensitivity for {q.to_string()}; "
@@ -381,7 +426,7 @@ def calibrate(d: Dataset, q: QuerySpec, cfg: MechanismConfig) -> Calibration:
         raise ConfigError(
             f"discrete_laplace masks integer-valued queries only, not {q.to_string()}"
         )
-
+    eps = cfg.epsilon
     if sens == 0.0:
         return Calibration(value, "exact", 0.0, 0.0)
     if family == "laplace":
@@ -406,15 +451,19 @@ _MISSING = object()
 
 def _memoized(d: Dataset, key, compute):
     """d's memoized value for key, computed and stored (FIFO) when missing."""
-    memo = d._memo
-    value = memo.get(key, _MISSING)
+    value = d._memo.get(key, _MISSING)
     if value is _MISSING:
         value = compute()
-        with _memo_lock:
-            memo[key] = value
-            while len(memo) > _MEMO_SIZE:
-                del memo[next(iter(memo))]
+        _remember(d, key, value)
     return value
+
+
+def _remember(d: Dataset, key, value) -> None:
+    memo = d._memo
+    with _memo_lock:
+        memo[key] = value
+        while len(memo) > _MEMO_SIZE:
+            del memo[next(iter(memo))]
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:

@@ -16,7 +16,12 @@ a_k = max over t = 0..k+1 of x~_{r+t} - x~_{r+t-k-1}. Up to the stopping
 index K, S(D) costs O(K) math.exp calls for the decays plus numpy work:
 O(K) for max and max2, whose a_k need at most n - r + 2 gaps each, and
 O(K log K) in the worst case for the median, whatever the spacing of the
-data.
+data. smooth_sensitivities scans the datasets of one size as one stack:
+their short first blocks run in lockstep, with the decays taken once and
+every a_k read from gap tensors of at most _GATHER_LIMIT entries, a chunk
+of datasets each. A dataset that has not stopped there, whose first block
+is long, or whose x~_r sits inside a run of ties scans on alone.
+smooth_sensitivity is that scan on a stack of one.
 
 Counting queries have constant L1 sensitivity min(2, n_bins) under the
 modify-one-record neighbor relation, where a range count has one bin. A
@@ -121,30 +126,65 @@ def smooth_sensitivity(d: Dataset, q: QuerySpec, beta: float) -> float:
     The k run in blocks of numpy work, and the result is the same float as a
     scalar loop over k: maxima and float subtraction and multiplication round
     the same in any order, and every skipped term is shown, by monotone
-    rounding, unable to beat the best before it.
+    rounding, unable to beat the best before it. So no block edge moves the
+    result, and smooth_sensitivities, which scans the first blocks of many
+    datasets together, gives each the float this function gives it alone.
+    This function is that scan on a stack of one dataset.
 
     Every decay is math.exp(-beta * k), never np.exp, which can differ from
     it in the last bit: one math.exp call per k scanned, on top of the numpy
     block work.
 
-    A k is skipped when exp(-beta k) times the outer gap
-    x~_{r+k+1} - x~_{r-k-1}, which holds every gap of a_k, cannot beat the
-    running best of exp(-beta k) times a one-sided gap x~_{r+k+1} - x~_r or
-    x~_r - x~_{r-k-1}, which a_k is at least. The remaining a_k cost
-    O(min(k, n - r)) each: past t = n - r + 1 every gap is max(Dom) minus a
-    larger statistic, so max and max2 cost O(K) for the stopping index K.
-    When the median's outgrow O(K log K) the scan switches to Nissim,
-    Raskhodnikova and Smith's divide and conquer over the monotone argmax
-    (STOC 2007, section 3.1), made exact in floating point by a rounding
-    tolerance, for O(K log K) overall.
+    A block of at most _DENSE_K k computes every a_k from one gap tensor.
+    The datasets of a stack whose first block is that short run it in
+    lockstep: one decay vector, and one gap tensor and one fold per chunk of
+    datasets, a fixed number of numpy calls however many datasets a chunk
+    holds. A chunk reads only each dataset's window x~_{r-K} .. x~_{r+K} of
+    the block, and its tensor holds at most _GATHER_LIMIT entries. A dataset
+    that has not stopped there, or whose first block is longer, or whose
+    x~_r sits inside a run of ties, scans on alone. In a longer block a k is
+    skipped when exp(-beta k) times the outer gap x~_{r+k+1} - x~_{r-k-1},
+    which holds every gap of a_k, cannot beat the running best of
+    exp(-beta k) times a one-sided gap x~_{r+k+1} - x~_r or x~_r - x~_{r-k-1},
+    which a_k is at least. The remaining a_k cost O(min(k, n - r)) each:
+    past t = n - r + 1 every gap is max(Dom) minus a larger statistic, so max
+    and max2 cost O(K) for the stopping index K. When the median's outgrow
+    O(K log K) the scan switches to Nissim, Raskhodnikova and Smith's divide
+    and conquer over the monotone argmax (STOC 2007, section 3.1), made exact
+    in floating point by a rounding tolerance, for O(K log K) overall.
     """
-    if not (beta > 0 and math.isfinite(beta)):
-        raise PreconditionError(f"beta must be positive and finite, got {beta}")
+    _check_beta(beta)
     if q.integer_valued:
         return float(min(2, q.n_bins))  # constant local sensitivity smooths to itself
     if not d.bounds.is_bounded:
         return math.inf
-    return _smooth_rank(d.values, d.bounds, _rank(q, d.n), beta)
+    return _smooth_rank([(d.values, d.bounds)], _rank(q, d.n), beta)[0]
+
+
+def smooth_sensitivities(ds: list[Dataset], q: QuerySpec, beta: float) -> list[float]:
+    """smooth_sensitivity(d, q, beta) for every d in ds, in list order.
+
+    The datasets of one size share the rank r of the statistic, and their
+    scans run as one stack (see _smooth_rank): each result is the float
+    smooth_sensitivity gives that dataset alone.
+    """
+    _check_beta(beta)
+    if q.integer_valued:
+        return [float(min(2, q.n_bins))] * len(ds)
+    out = [math.inf] * len(ds)
+    stacks: dict[int, list[int]] = {}  # rank r, one per size n -> positions in ds
+    for i, d in enumerate(ds):
+        if d.bounds.is_bounded:
+            stacks.setdefault(_rank(q, d.n), []).append(i)
+    for r, idx in stacks.items():
+        for i, s in zip(idx, _smooth_rank([(ds[i].values, ds[i].bounds) for i in idx], r, beta)):
+            out[i] = s
+    return out
+
+
+def _check_beta(beta: float) -> None:
+    if not (beta > 0 and math.isfinite(beta)):
+        raise PreconditionError(f"beta must be positive and finite, got {beta}")
 
 
 # The k scan runs in blocks of numpy work, from k = start (0 unless x~_r
@@ -156,14 +196,14 @@ _FIRST_BLOCK = 32
 _MAX_GROWTH = 16
 
 # A block of at most _DENSE_K k whose k count times k1 is at most
-# _DENSE_GAPS computes every a_k, as one gap matrix of that size; a larger
-# one only those of the k that survive the skip test, which costs less once
-# a block holds more than a few dozen k.
+# _DENSE_GAPS computes every a_k, as one gap tensor of that size per
+# dataset; a larger one only those of the k that survive the skip test,
+# which costs less once a block holds more than a few dozen k.
 _DENSE_K = 64
 _DENSE_GAPS = 1 << 14
 
-# The lag maxima are computed in gap matrices of at most this many
-# entries, so a long scan never holds a quadratic array.
+# The lag maxima are computed in gap tensors of at most this many
+# entries, so neither a long scan nor a large stack holds a quadratic array.
 _GATHER_LIMIT = 1 << 18
 
 # The pair search costs about log2(C) levels of numpy calls over
@@ -195,40 +235,99 @@ def _decays(beta: float, k0: int, k1: int) -> np.ndarray:
     return np.fromiter(map(math.exp, (-beta * np.arange(k0, k1)).tolist()), float, k1 - k0)
 
 
-def _fold(best, terms, decays, span) -> tuple[float, bool]:
-    """Fold one block of terms decay_k * a_k into the running best.
+def _fold(best: float, a: np.ndarray, decays: np.ndarray, span) -> list[tuple[float, bool]]:
+    """Fold one block of terms decay_k * a_k into the running best, per dataset.
 
-    The scan stops at the first k whose decay * span is at most the best of
-    the terms before k. A term left at 0.0 must be one that cannot beat the
-    best before its k, so the running best stays exact. Returns the best up
-    to the stop (or the block's end) and whether the scan stopped.
+    a holds the a_k of one dataset, or one row of them per dataset of a
+    stack; every row starts from best, and span is a float or a column of
+    one span per row. A row's scan stops at the first k whose decay * span
+    is at most the best of the terms before k. An a_k left at 0.0 must be
+    one whose term cannot beat the best before its k, so the running best
+    stays exact. Returns, per row, the best up to the stop (or the block's
+    end) and whether the scan stopped.
     """
-    before = np.maximum.accumulate(np.concatenate(([best], terms)))[:-1]
-    stop = decays * span <= before
-    end = int(stop.argmax())
-    if stop[end]:
-        return float(before[end]), True
-    return max(float(before[-1]), float(terms[-1])), False
+    full = np.empty(a.shape[:-1] + (a.shape[-1] + 1,))  # the best, then the terms
+    full[..., 0] = best
+    np.multiply(decays, a, out=full[..., 1:])
+    full = np.maximum.accumulate(full, axis=-1)
+    stop = decays * span <= full[..., :-1]
+    ends = stop.argmax(axis=-1)
+    if a.ndim == 1:
+        return [(float(full[ends]), True) if stop[ends] else (float(full[-1]), False)]
+    return [(float(full[i, e]), True) if stop[i, e] else (float(full[i, -1]), False)
+            for i, e in enumerate(ends.tolist())]
 
 
-def _smooth_rank(v: np.ndarray, bounds: DomainBounds, r: int, beta: float) -> float:
+def _smooth_rank(rows: list[tuple[np.ndarray, DomainBounds]], r: int, beta: float) -> list[float]:
+    """S(D) of x~_r for every (sorted values, bounds) row, all of one size n.
+
+    A row whose first block computes every a_k (x~_r not inside a run of
+    ties, and decay_k * span falling to the first term within _DENSE_K k)
+    runs it in lockstep with the others: up to the largest of their block
+    ends, with the decays taken once, one gap tensor per chunk of rows and
+    one fold. Every row still short of its stop after that, and every other
+    row, scans on alone. Each row's result is the float of its scan alone
+    (see smooth_sensitivity).
+    """
+    n = rows[0][0].size
+    cap = n - r + 2  # the most gaps any a_k needs (see _lag_maxima)
+    out = []
+    lockstep, k1 = [], 0  # (position, values, bounds, span, first term) of each lockstep row, their end
+    for v, bounds in rows:
+        span = bounds.span
+        x = float(v[r - 1])
+        below, above = _stat(v, bounds, r - 1), _stat(v, bounds, r + 1)
+        if below == x == above:
+            # inside a run of ties every a_k below the first outer gap is 0;
+            # the term there is at least its decay times either one-sided gap
+            start = _first_outer_gap(v, bounds, r, x)
+            first = math.exp(-beta * start) * max(_stat(v, bounds, r + start + 1) - x,
+                                                  x - _stat(v, bounds, r - start - 1))
+            out.append(_scan(v, bounds, r, beta, start, first, 0.0, start))
+            continue
+        first = max(above - x, x - below)  # a_0 > 0, the term at k = 0
+        end = _block_end(0, 0, first, span, beta, n + 1)
+        if end > _DENSE_K:
+            out.append(_scan(v, bounds, r, beta, 0, first, 0.0, 0))
+            continue
+        lockstep.append((len(out), v, bounds, span, first))
+        out.append(0.0)
+        if end > k1:
+            k1 = end
+    if not lockstep:
+        return out
+    d = _decays(beta, 0, k1)
+    ks = np.arange(k1)
+    step = max(_GATHER_LIMIT // (k1 * min(k1 + 1, cap)), 1)  # rows per gap tensor
+    for c in range(0, len(lockstep), step):
+        chunk = lockstep[c : c + step]
+        # x~_{r-k1} .. x~_{r+k1} of each row; a stack of one row is its window
+        if len(chunk) == 1:
+            ((_, v, bounds, spans, _),) = chunk
+            stack = _order_stats(v, bounds, r - k1, 2 * k1 + 1)
+        else:
+            stack = np.stack([_order_stats(v, bounds, r - k1, 2 * k1 + 1) for _, v, bounds, _, _ in chunk])
+            spans = np.array([[span] for _, _, _, span, _ in chunk])
+        folded = _fold(0.0, _lag_maxima(stack, k1, ks, cap), d, spans)
+        for (i, v, bounds, _, first), (best, stopped) in zip(chunk, folded):
+            out[i] = best if stopped else _scan(v, bounds, r, beta, 0, first, best, k1)
+    return out
+
+
+def _scan(v: np.ndarray, bounds: DomainBounds, r: int, beta: float, start: int, first: float,
+          best: float, k0: int) -> float:
+    # one row's scan from k0 on, given the exact running best of the terms
+    # below k0, the scan's start and its first term
     n = v.size
     span = bounds.span
-    cap = n - r + 2  # the most gaps any a_k needs (see _lag_maxima)
-    # inside a run of ties every a_k below the first outer gap is 0
-    start = _first_outer_gap(v, bounds, r)
-    x = float(v[r - 1])
-    # the term at k = start is at least its decay times either one-sided gap
-    first = math.exp(-beta * start) * max(_stat(v, bounds, r + start + 1) - x,
-                                          x - _stat(v, bounds, r - start - 1))
-    best, k0 = 0.0, start
+    cap = n - r + 2
     by_pairs = True
     while k0 <= n:
         k1 = _block_end(k0, start, max(best, first), span, beta, n + 1)
         d = _decays(beta, k0, k1)
         w = _order_stats(v, bounds, r - k1, 2 * k1 + 1)  # x~_{r-k1} .. x~_{r+k1}
         if k1 - k0 <= _DENSE_K and (k1 - k0) * (k1 + 1) <= _DENSE_GAPS:  # every a_k
-            terms = d * _lag_maxima(w, k1, np.arange(k0, k1), cap)
+            a = _lag_maxima(w, k1, np.arange(k0, k1), cap)
         else:
             # Exact skip: no gap of a_k exceeds the outer gap x~_{r+k+1} -
             # x~_{r-k-1}, and a_k is at least either one-sided gap x~_{r+k+1} -
@@ -247,26 +346,24 @@ def _smooth_rank(v: np.ndarray, bounds: DomainBounds, r: int, beta: float) -> fl
                 if s is not None:
                     return s
                 by_pairs = False
-            terms = np.zeros(k1 - k0)
+            a = np.zeros(k1 - k0)
             if c.size:
-                terms[c] = d[c] * _lag_maxima(w, k1, c + k0, cap)
-        best, stopped = _fold(best, terms, d, span)
+                a[c] = _lag_maxima(w, k1, c + k0, cap)
+        ((best, stopped),) = _fold(best, a, d, span)
         if stopped:
             break
         k0 = k1
     return best
 
 
-def _first_outer_gap(v: np.ndarray, bounds: DomainBounds, r: int) -> int:
-    """The first k whose outer gap x~_{r+k+1} - x~_{r-k-1} is positive, or 0.
+def _first_outer_gap(v: np.ndarray, bounds: DomainBounds, r: int, x: float) -> int:
+    """The first k whose outer gap x~_{r+k+1} - x~_{r-k-1} is positive, for
+    x = x~_r equal to x~_{r-1} and x~_{r+1}.
 
     Below it x~_r sits inside a run of ties: every a_k is 0, so every term is
     0 and the scan may start there. (Had a decay underflowed to 0 on the way,
     the scan stops where it starts, with the same result 0.0.)
     """
-    x = float(v[r - 1])
-    if not _stat(v, bounds, r - 1) == x == _stat(v, bounds, r + 1):
-        return 0  # a_0 > 0
     # 1-based positions of the first and last record equal to x~_r
     first, last = int(v.searchsorted(x, "left")) + 1, int(v.searchsorted(x, "right"))
     # below x~_1 every statistic is min(Dom), above x~_n it is max(Dom); on a
@@ -276,25 +373,31 @@ def _first_outer_gap(v: np.ndarray, bounds: DomainBounds, r: int) -> int:
     return min(k_left, k_right)
 
 
-def _lag_maxima(w: np.ndarray, h: int, ks: np.ndarray, cap: int) -> np.ndarray:
+def _lag_maxima(W: np.ndarray, h: int, ks: np.ndarray, cap: int) -> np.ndarray:
     # a_k = max over t = 0..k+1 of x~_{r+t} - x~_{r+t-k-1}, for each k in the
-    # ascending ks, read from the contiguous window w = x~_{r-h} .. x~_{r+h}.
-    # Row m of the gap matrix holds the gaps of ks[m], padded with zeros
-    # (a_k >= 0). Past t = cap - 1 = n - r + 1 every gap is max(Dom) -
-    # x~_{r+t-k-1}, at most the gap at t = cap - 1 because float subtraction
-    # is monotone, so a row needs at most cap columns.
+    # ascending ks, read from W: one dataset's contiguous window x~_{r-h} ..
+    # x~_{r+h}, or a C-contiguous stack of them, one row per dataset, which
+    # gives one row of a_k per dataset. Row m of a dataset's gap matrix holds
+    # the gaps of ks[m], masked beyond t = ks[m] + 1 (every gap is >= 0). Past
+    # t = cap - 1 = n - r + 1 every gap is max(Dom) - x~_{r+t-k-1}, at most
+    # the gap at t = cap - 1 because float subtraction is monotone, so a row
+    # needs at most cap columns. A stack's caller keeps its gap tensor within
+    # _GATHER_LIMIT entries; one dataset's larger matrix is computed in
+    # halves of ks.
     k0, k_last = int(ks[0]), int(ks[-1])
     width = min(k_last + 2, cap)
-    if ks.size > 1 and ks.size * width > _GATHER_LIMIT:
+    if W.ndim == 1 and ks.size > 1 and ks.size * width > _GATHER_LIMIT:
         half = ks.size // 2
-        return np.concatenate((_lag_maxima(w, h, ks[:half], cap), _lag_maxima(w, h, ks[half:], cap)))
-    # row q of this view of w (no copy) is x~_{r+t-k-1}, t = 0..width-1, for k = k_last - q
-    lower = np.ndarray((k_last - k0 + 1, width), w.dtype, w, (h - 1 - k_last) * w.itemsize,
-                       (w.itemsize, w.itemsize))
-    lower = lower[::-1] if ks.size == k_last - k0 + 1 else lower[k_last - ks]
-    gaps = w[h : h + width] - lower
-    gaps[np.arange(width) > ks[:, None] + 1] = 0.0
-    return gaps.max(axis=1)
+        return np.concatenate((_lag_maxima(W, h, ks[:half], cap), _lag_maxima(W, h, ks[half:], cap)))
+    # [..., q, t] of this view of W (no copy) is x~_{r+t-k-1}, t = 0..width-1, for k = k_last - q
+    item = W.itemsize
+    lower = np.ndarray(W.shape[:-1] + (k_last - k0 + 1, width), W.dtype, W, (h - 1 - k_last) * item,
+                       W.strides[:-1] + (item, item))
+    lower = lower[..., ::-1, :] if ks.size == k_last - k0 + 1 else lower[..., k_last - ks, :]
+    gaps = W[..., None, h : h + width] - lower
+    if k0 + 2 >= width:  # every column t <= width - 1 <= k + 1 is a gap of a_k
+        return gaps.max(axis=-1)
+    return gaps.max(axis=-1, where=np.arange(-1, width - 1) <= ks[:, None], initial=0.0)  # t <= k + 1
 
 
 def _smooth_by_pairs(v: np.ndarray, bounds: DomainBounds, r: int, beta: float, best: float, C: int):

@@ -70,6 +70,20 @@ def test_plan_refuses_bools_fractions_and_a_non_finite_gamma():
     assert type(plan.trials) is int and type(plan.seed) is int
 
 
+def test_plan_refuses_non_real_epsilons_and_gammas():
+    # float() used to turn True into epsilon 1.0 and "0.5" into 0.5, and a
+    # str gamma died in a raw comparison
+    for bad in (True, np.True_, "0.5", None, 1j):
+        with pytest.raises(PreconditionError, match="epsilon must be a real number"):
+            ExperimentPlan(epsilons=(bad,))
+    for bad in ("3", None, True, 3j):
+        with pytest.raises(PreconditionError, match="gamma must be a real number"):
+            ExperimentPlan(gamma=bad)
+    plan = ExperimentPlan(epsilons=(1, np.float32(0.5), np.float64(0.75)), gamma=np.int64(2))
+    assert plan.epsilons == (1.0, 0.5, 0.75) and plan.gamma == 2.0
+    assert all(type(e) is float for e in plan.epsilons + (plan.gamma,))
+
+
 def test_ci_table_shapes_and_ordering():
     rows = run_ci_table(1.0, 1.0, trials=100_000, seed=0)
     assert [r["family"] for r in rows] == ["laplace", "admissible_gamma2", "admissible_gamma3"]

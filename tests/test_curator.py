@@ -100,6 +100,21 @@ def test_config_refuses_bools_and_fractional_group_sizes():
     assert type(cfg.group_size) is int and cfg == MechanismConfig("gdp", 1.0, group_size=2)
 
 
+def test_config_refuses_non_real_epsilons_and_gammas():
+    # a str used to die in a raw "'>' not supported" TypeError
+    for bad in ("0.5", None, b"1", 1j, [0.5]):
+        with pytest.raises(ConfigError, match="epsilon must be a real number"):
+            MechanismConfig("idp_local", bad)
+    for bad in ("3", b"3", 3j):
+        with pytest.raises(ConfigError, match="gamma must be a real number"):
+            MechanismConfig("dp_smooth", 0.5, gamma=bad)
+    # accepted values are stored unchanged, so an int epsilon prints as an int
+    cfg = MechanismConfig("dp_smooth", 1, gamma=np.float32(2.5))
+    assert cfg.epsilon == 1 and type(cfg.epsilon) is int and type(cfg.gamma) is np.float32
+    assert json.dumps(MechanismConfig("idp_local", 1).to_json_dict()) == \
+        '{"regime": "idp_local", "epsilon": 1, "noise": "laplace"}'
+
+
 def test_config_json_shape():
     out = MechanismConfig("gdp", 0.5, group_size=3).to_json_dict()
     assert out == {"regime": "gdp", "epsilon": 0.5, "noise": "laplace", "group_size": 3}
@@ -218,9 +233,9 @@ def test_smooth_sensitivity_is_computed_once_per_beta(monkeypatch):
     calls = []
     smooth_rank = sensitivity._smooth_rank
 
-    def counting(v, bounds, r, beta):
-        calls.append(beta)
-        return smooth_rank(v, bounds, r, beta)
+    def counting(rows, r, beta):
+        calls.extend([beta] * len(rows))  # one S(D) per stacked dataset
+        return smooth_rank(rows, r, beta)
 
     monkeypatch.setattr(sensitivity, "_smooth_rank", counting)
     d = _d([0.1, 0.2, 0.4, 0.5, 0.7, 0.8, 0.9])
@@ -231,6 +246,76 @@ def test_smooth_sensitivity_is_computed_once_per_beta(monkeypatch):
                RandomSource(1), ledger)
     assert calls == [0.25, 0.5]
     assert len(ledger.entries) == 4
+
+
+def _same_calibration(a, b):
+    return (type(a.value) is type(b.value) and np.array_equal(a.value, b.value)
+            and (a.family, a.sensitivity_used, a.param, a.gamma)
+            == (b.family, b.sensitivity_used, b.param, b.gamma))
+
+
+def _same_memo(a, b):
+    return list(a._memo) == list(b._memo) and all(
+        np.array_equal(a._memo[key], b._memo[key]) for key in a._memo)
+
+
+def test_calibrate_many_equals_one_calibrate_per_dataset():
+    rng = np.random.default_rng(12)
+    # two sizes, ties at some medians, and one dataset under other bounds
+    values = [np.round(rng.random(n), 1) for n in (7, 9, 7, 7, 9, 7)]
+    values.append(rng.random(9))
+    bounds = [B01] * 6 + [DomainBounds(-1.0, 2.0)]
+    queries = (QuerySpec.median(), QuerySpec.maximum(), QuerySpec.second_maximum(),
+               QuerySpec.range_count(0.2, 0.7), QuerySpec.histogram([0.0, 0.5, 1.0]))
+    for cfg in MEMO_CONFIGS:
+        for q in queries:
+            if cfg.noise_family == "discrete_laplace" and not q.integer_valued:
+                continue
+            loop_ds = [_d(v, b) for v, b in zip(values, bounds)]
+            many_ds = [_d(v, b) for v, b in zip(values, bounds)]
+            for ds in (loop_ds, many_ds):  # a memo hit in the middle
+                calibrate(ds[3], q, cfg)
+            loop = [calibrate(d, q, cfg) for d in loop_ds]
+            many = curator.calibrate_many(many_ds, q, cfg)
+            assert len(many) == len(loop)
+            assert all(map(_same_calibration, loop, many)), (cfg, q)
+            assert all(map(_same_memo, loop_ds, many_ds)), (cfg, q)
+
+
+def test_calibrate_many_stacks_each_size_once(monkeypatch):
+    stacks = []
+    smooth_rank = sensitivity._smooth_rank
+
+    def counting(rows, r, beta):
+        stacks.append(len(rows))
+        return smooth_rank(rows, r, beta)
+
+    monkeypatch.setattr(sensitivity, "_smooth_rank", counting)
+    rng = np.random.default_rng(13)
+    ds = [_d(rng.random(n)) for n in (7, 9, 7, 7, 9)]
+    cfg = MechanismConfig("dp_smooth", 1.0, gamma=2.0)
+    calibrate(ds[2], QuerySpec.median(), cfg)
+    stacks.clear()
+    curator.calibrate_many(ds, QuerySpec.median(), cfg)
+    assert stacks == [2, 2]  # the misses of size 7, then of size 9
+    curator.calibrate_many(ds, QuerySpec.median(), cfg)
+    assert stacks == [2, 2]  # every S(D) is in its dataset's memo now
+
+
+def test_calibrate_many_raises_what_the_loop_raises_first():
+    ok, even = _d([0.1, 0.5, 0.9]), _d([0.1, 0.2, 0.3, 0.4])
+    unbounded = Dataset(np.array([1.0, 2.0, 3.0]), DomainBounds())
+    q = QuerySpec.median()
+    smooth = MechanismConfig("dp_smooth", 1.0, gamma=2.0)
+    for cfg in (smooth, MechanismConfig("idp_local", 1.0), MechanismConfig("dp_global", 1.0)):
+        for ds in ([ok, even, unbounded, ok], [ok, unbounded, even, ok]):
+            with pytest.raises(CuratorError) as loop:
+                [calibrate(d, q, cfg) for d in ds]
+            with pytest.raises(CuratorError) as many:
+                curator.calibrate_many(ds, q, cfg)
+            assert (type(many.value), str(many.value)) == (type(loop.value), str(loop.value))
+            if cfg is smooth:  # the first failing dataset decides, whatever follows it
+                assert type(many.value) is (PreconditionError if ds[1] is even else SensitivityError)
 
 
 def test_memo_is_bounded_and_evicts_the_oldest():

@@ -303,6 +303,86 @@ def test_sensitivities_equal_the_plain_reference():
                 assert group_local_sensitivity(d, q, g) == _ref_group(d, q, g), (d.n, bins, g)
 
 
+def _mixed_stack(n, rng):
+    # datasets of one size that the stacked scan treats differently: x~_r
+    # between distinct values (the lockstep block) or inside a run of ties,
+    # all tied, piled at both edges, and clustered so tightly that the first
+    # block is too long for the lockstep and the stop lies far beyond it;
+    # each shape under three different bounds
+    out = []
+    for lo, hi in ((-1.0, 3.0), (0.0, 1.0), (-50.0, 1e-3)):
+        b = DomainBounds(lo, hi)
+        mid = (lo + hi) / 2
+        piled = np.where(rng.random(n) < 0.5, lo, hi)
+        piled[: n // 10] = rng.uniform(lo, hi, n // 10)
+        out += [Dataset(rng.uniform(lo, hi, n), b),
+                Dataset(lo + (hi - lo) * rng.integers(0, 4, n) / 3, b),
+                Dataset(np.full(n, mid), b),
+                Dataset(piled, b),
+                Dataset(np.clip(mid + (hi - lo) * 1e-9 * rng.standard_normal(n), lo, hi), b)]
+    rng.shuffle(out)
+    return out
+
+
+def test_stacked_smooth_sensitivities_equal_the_reference_row_by_row(monkeypatch):
+    alone = []
+    scan = sensitivity._scan
+
+    def recording(v, bounds, r, beta, start, first, best, k0):
+        alone.append((start, k0))  # where a row's scan starts, and where it goes on alone
+        return scan(v, bounds, r, beta, start, first, best, k0)
+
+    monkeypatch.setattr(sensitivity, "_scan", recording)
+    rng = np.random.default_rng(2024)
+    betas = np.concatenate(([1e-4, 3.0], 10.0 ** rng.uniform(-4.0, math.log10(3.0), 4)))
+    order_qs = (QuerySpec.median(), QuerySpec.maximum(), QuerySpec.second_maximum())
+    for n in (1, 3, 9, 99, 999):
+        ds = _mixed_stack(n, rng)
+        for q in order_qs:
+            if q.kind == "second_maximum" and n < 2:
+                continue
+            for beta in betas:
+                got = sensitivity.smooth_sensitivities(ds, q, beta)
+                assert got == [_ref_smooth(d, q, beta) for d in ds], (n, q, beta)
+    # besides the lockstep rows, rows with a long first block and rows inside
+    # a run of ties scanned alone from their start
+    assert (0, 0) in alone and any(0 < start == k0 for start, k0 in alone)
+
+
+def test_stacks_larger_than_one_gap_tensor_run_in_chunks(monkeypatch):
+    rng = np.random.default_rng(5)
+    ds = [Dataset(rng.uniform(0.0, 1.0, 99), B01) for _ in range(400)]
+    q, beta = QuerySpec.median(), 0.2
+    alone = [smooth_sensitivity(d, q, beta) for d in ds]
+    tensors = []
+    lag_maxima = sensitivity._lag_maxima
+
+    def recording(W, h, ks, cap):
+        if W.ndim == 2:
+            tensors.append(W.shape[0] * ks.size * min(int(ks[-1]) + 2, cap))
+        return lag_maxima(W, h, ks, cap)
+
+    monkeypatch.setattr(sensitivity, "_lag_maxima", recording)
+    assert sensitivity.smooth_sensitivities(ds, q, beta) == alone
+    assert len(tensors) > 1 and max(tensors) <= sensitivity._GATHER_LIMIT
+    # a smaller limit cuts the same stack into chunks of a few rows
+    tensors.clear()
+    monkeypatch.setattr(sensitivity, "_GATHER_LIMIT", 5000)
+    assert sensitivity.smooth_sensitivities(ds, q, beta) == alone
+    assert len(tensors) > 50 and max(tensors) <= 5000
+
+
+def test_smooth_sensitivities_keep_list_order_across_sizes_and_bounds():
+    rng = np.random.default_rng(6)
+    ds = [Dataset(rng.uniform(0.0, 1.0, n), B01) for n in (5, 7, 5, 9, 7, 5)]
+    ds.insert(3, Dataset(rng.uniform(0.0, 1.0, 7), DomainBounds(0.0, math.inf)))
+    for q in (QuerySpec.median(), QuerySpec.maximum(), QuerySpec.range_count(0.2, 0.5)):
+        assert sensitivity.smooth_sensitivities(ds, q, 0.3) == \
+            [smooth_sensitivity(d, q, 0.3) for d in ds]
+    assert sensitivity.smooth_sensitivities(ds, QuerySpec.maximum(), 0.3)[3] == math.inf
+    with pytest.raises(PreconditionError, match="beta"):
+        sensitivity.smooth_sensitivities(ds, QuerySpec.median(), 0.0)
+
 # stop indices on, just before and just after the scans' block edges: a scan
 # whose first term is 0 ends its first block at k = 32 and, while its terms
 # stay 0, grows 16-fold, to k = 512; other blocks end where the best so far
