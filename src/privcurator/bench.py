@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .curator import BudgetLedger, Calibration, MechanismConfig, answer, calibrate_many, release
-from .dataset import SYNTH_DISTRIBUTIONS, Dataset, DomainBounds, synthesize
+from .dataset import SYNTH_DISTRIBUTIONS, Dataset, DomainBounds, synthesize_many
 from .errors import BudgetExceededError, PreconditionError
 from .noise import (
     AdmissibleNoiseParams,
@@ -40,12 +40,19 @@ from .oracle import (
     verify_ratio_bound,
 )
 from .queries import QuerySpec, evaluate
-from .sensitivity import _DENSE_K, _GATHER_LIMIT, local_sensitivity, smooth_sensitivity
+from .sensitivity import local_sensitivity, smooth_sensitivity
 
 PLAN_SIZES = (10, 100, 1000)
 PLAN_EPSILONS = (0.5, 0.75, 1.0)
 
 _MEDIAN = QuerySpec.median()
+
+# Trials per chunk of an error-grid cell: the datasets held at once, drawn as
+# one (chunk, n) block. At the largest plan size a block is 63 x 999 floats
+# (0.5 MB), and a chunk of short-block median scans stays within one gap
+# tensor of the stacked S(D) scan. The size moves no row: the chunks continue
+# one data stream, and every calibration is per dataset.
+_TRIAL_CHUNK = 63
 
 
 @dataclass(frozen=True)
@@ -153,12 +160,13 @@ def run_error_grid(plan: ExperimentPlan) -> list[dict]:
     data; the true median is the calibration's exact value. A cell seeds
     three independent streams once, spawned from SeedSequence((plan.seed,
     cell index)): a Generator that every trial's dataset is drawn from, and
-    one RandomSource per regime. The cell's datasets are drawn first, in
-    trial order, and then each regime calibrates them in one call (see
-    curator.calibrate_many, which stacks dp_smooth's smooth sensitivity
-    scans). A cell of more trials than one gap tensor of the stacked scan
-    holds at its longest first block (63) runs in chunks of that many
-    trials, so it never holds more datasets at once. Each regime's noise
+    one RandomSource per regime. The trials run in chunks of _TRIAL_CHUNK.
+    A chunk's datasets are drawn first, in trial order, by one
+    dataset.synthesize_many call: one (chunk, n) block sorted once, the same
+    datasets as one synthesize call per trial. Then each regime calibrates
+    them in one call (see curator.calibrate_many, which reads each dataset's
+    order statistics once and stacks dp_smooth's smooth sensitivity scans).
+    So a cell holds one chunk's datasets at a time. Each regime's noise
     for the whole cell is one draw from its source, one value per trial in
     trial order (see curator.release). Within a cell the trials are i.i.d.
     Even plan sizes drop to the nearest odd size so the median is defined;
@@ -173,7 +181,6 @@ def run_error_grid(plan: ExperimentPlan) -> list[dict]:
     """
     rows = []
     cells = list(product(plan.distributions, plan.sizes, plan.epsilons))
-    chunk = _GATHER_LIMIT // (_DENSE_K * (_DENSE_K + 1))
     for ci, (dist, size, eps) in enumerate(cells):
         n = size if size % 2 == 1 else size - 1
         data_seq, local_seq, smooth_seq = np.random.SeedSequence((plan.seed, ci)).spawn(3)
@@ -183,10 +190,11 @@ def run_error_grid(plan: ExperimentPlan) -> list[dict]:
             ("dp_smooth", MechanismConfig("dp_smooth", eps, gamma=plan.gamma), RandomSource(smooth_seq)),
         )
         cals: dict[str, list[Calibration]] = {regime: [] for regime, _, _ in regimes}
-        for first in range(0, plan.trials, chunk):
-            datasets = [synthesize(dist, n, data_rng) for _ in range(min(chunk, plan.trials - first))]
+        for first in range(0, plan.trials, _TRIAL_CHUNK):
+            datasets = synthesize_many(dist, n, data_rng, min(_TRIAL_CHUNK, plan.trials - first))
             for regime, cfg, _ in regimes:
                 cals[regime].extend(calibrate_many(datasets, _MEDIAN, cfg))
+            del datasets  # so the next chunk's block is drawn with this one gone
         for regime, _, rng in regimes:
             noisy = release(cals[regime], rng)
             errors = [abs(y - cal.value) for y, cal in zip(noisy, cals[regime])]

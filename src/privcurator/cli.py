@@ -7,6 +7,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .curator import BudgetLedger, MechanismConfig, answer, load_session, save_session
 from .dataset import DomainBounds, encode_bound, load_csv
 from .errors import ConfigError, CuratorError
@@ -45,7 +47,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise", choices=sorted(NOISE), default=None,
                    help="noise family (default laplace)")
     p.add_argument("--session", required=True, help="budget session file (JSON)")
-    p.add_argument("--seed", required=True, type=int)
+    p.add_argument("--seed", type=int, default=None,
+                   help="seed the noise, for tests only: anyone who knows the seed can "
+                        "subtract the noise (default: fresh OS entropy per release)")
     p.add_argument("--budget", type=float, default=1.0,
                    help="total budget when the session file does not exist yet")
     p.set_defaults(handler=_cmd_answer)
@@ -97,15 +101,22 @@ def _cmd_answer(args) -> int:
         noise_family=NOISE[args.noise] if args.noise else None,
         group_size=args.group,
     )
+    # Unseeded, each release draws from 128 bits of fresh OS entropy that are
+    # never stored; a seeded stream is reproducible by anyone who holds the seed
+    seeded = args.seed is not None
+    rng = RandomSource(args.seed if seeded else np.random.SeedSequence())
     session = Path(args.session)
     ledger = load_session(session) if session.exists() else BudgetLedger(args.budget)
     spent = ledger.spent()
     try:
-        out = answer(d, q, cfg, RandomSource(args.seed), ledger)
+        out = answer(d, q, cfg, rng, ledger)
     finally:
         if ledger.spent() != spent:  # charged, even when the release was then refused
             save_session(ledger, session)
     print(json.dumps(out.to_json_dict(), indent=2))
+    if seeded:
+        print("warning: --seed makes the noise reproducible; anyone who knows or guesses "
+              "the seed can subtract it and recover the true value", file=sys.stderr)
     return 0
 
 

@@ -48,12 +48,15 @@ from .noise import (
     sample_discrete_laplace,
     sample_laplace,
 )
-from .queries import RANGE_COUNT, QuerySpec, evaluate
+from .queries import RANGE_COUNT, QuerySpec, _rank, evaluate
 from .sensitivity import (
+    _around,
+    _ladder_rank,
+    _rung,
+    _smooth_stacks,
     global_sensitivity,
     group_local_sensitivity,
     local_sensitivity,
-    smooth_sensitivities,
     smooth_sensitivity,
 )
 
@@ -356,17 +359,21 @@ def calibrate(d: Dataset, q: QuerySpec, cfg: MechanismConfig) -> Calibration:
 
 
 def calibrate_many(datasets: list[Dataset], q: QuerySpec, cfg: MechanismConfig) -> list[Calibration]:
-    """[calibrate(d, q, cfg) for d in datasets], with dp_smooth's scans stacked.
+    """[calibrate(d, q, cfg) for d in datasets], with each dataset read once.
 
     Every calibration, memo entry and error is the one of that loop: the
-    first dataset that fails raises what calibrate raises for it. Under
-    dp_smooth an order statistic's S(D) misses the memo on some datasets;
-    those misses are computed together, the datasets of one size as one
-    stacked scan (see sensitivity.smooth_sensitivities), and each S(D) is
-    stored in its own dataset's memo, in list order. Every other regime and
-    query kind calibrates one dataset at a time.
+    first dataset that fails raises what calibrate raises for it. An order
+    statistic under idp_local or dp_smooth checks its preconditions and
+    finds its rank r once per dataset size, then reads x~_{r-1}, x~_r and
+    x~_{r+1} of each dataset once, which gives the value, idp_local's local
+    sensitivity (rung 1 of the ladder) and the start of dp_smooth's scan.
+    Under dp_smooth the datasets whose S(D) misses the memo are scanned
+    together, those of one size as one stack (see
+    sensitivity.smooth_sensitivities), and every S(D) is stored in its own
+    dataset's memo, in list order, under one hold of the memo lock. Every
+    other regime and query kind calibrates one dataset at a time.
     """
-    if cfg.regime != "dp_smooth" or q.integer_valued:
+    if cfg.regime not in ("idp_local", "dp_smooth") or q.integer_valued:
         out = []
         for d in datasets:
             if q.vector_valued:
@@ -389,29 +396,41 @@ def calibrate_many(datasets: list[Dataset], q: QuerySpec, cfg: MechanismConfig) 
             out.append(_calibration(value, sens, family, q, cfg))
         return out
 
-    beta = cfg.epsilon / cfg.gamma
-    key = ("smooth", q, beta)
-    out, misses = [], []  # misses: (position, dataset, value)
+    smooth = cfg.regime == "dp_smooth"
+    if smooth:
+        family, beta = "admissible", cfg.epsilon / cfg.gamma
+        key = ("smooth", q, beta)
+    else:
+        family = cfg.noise_family
+    ranks: dict[int, int] = {}  # size n -> rank r, preconditions checked
+    out, misses = [], []  # misses: (position, dataset, rank, _smooth_rank row)
     for d in datasets:
-        value = evaluate(d, q)
-        s = d._memo.get(key, _MISSING)
-        if s is not _MISSING:
-            out.append(_calibration(value, s, "admissible", q, cfg))
+        v = d.values
+        r = ranks.get(v.size)
+        if r is None:
+            r = _rank(q, v.size)  # evaluate's precondition
+            if not smooth:
+                _ladder_rank(q, v.size)  # the local sensitivity's
+            ranks[v.size] = r
+        if smooth:
+            s = d._memo.get(key, _MISSING)
+            if s is not _MISSING:
+                out.append(_calibration(float(v[r - 1]), s, family, q, cfg))
+                continue
+        below, x, above = _around(v, d.bounds, r)
+        if not smooth:
+            out.append(_calibration(x, _rung(x, above, below), family, q, cfg))
             continue
         if not (d.bounds.is_bounded and beta > 0):
             # raises what calibrate raises, before any later dataset is seen
-            _calibration(value, smooth_sensitivity(d, q, beta), "admissible", q, cfg)
-        misses.append((len(out), d, value))
+            _calibration(x, smooth_sensitivity(d, q, beta), family, q, cfg)
+        misses.append((len(out), d, r, (v, d.bounds, below, x, above)))
         out.append(None)
     if misses:
-        todo = [d for _, d, _ in misses]
-        if len(todo) == 1:  # the single-dataset entry point, with no grouping by size
-            scanned = [smooth_sensitivity(todo[0], q, beta)]
-        else:
-            scanned = smooth_sensitivities(todo, q, beta)
-        for (i, d, value), s in zip(misses, scanned):
-            _remember(d, key, s)
-            out[i] = _calibration(value, s, "admissible", q, cfg)
+        scanned = _smooth_stacks([(r, row) for _, _, r, row in misses], beta)
+        _remember_all([(d, key, s) for (_, d, _, _), s in zip(misses, scanned)])
+        for (i, _, _, row), s in zip(misses, scanned):
+            out[i] = _calibration(row[3], s, family, q, cfg)
     return out
 
 
@@ -454,16 +473,18 @@ def _memoized(d: Dataset, key, compute):
     value = d._memo.get(key, _MISSING)
     if value is _MISSING:
         value = compute()
-        _remember(d, key, value)
+        _remember_all([(d, key, value)])
     return value
 
 
-def _remember(d: Dataset, key, value) -> None:
-    memo = d._memo
+def _remember_all(items) -> None:
+    # store every (dataset, key, value), in order, under one hold of the lock
     with _memo_lock:
-        memo[key] = value
-        while len(memo) > _MEMO_SIZE:
-            del memo[next(iter(memo))]
+        for d, key, value in items:
+            memo = d._memo
+            memo[key] = value
+            while len(memo) > _MEMO_SIZE:
+                del memo[next(iter(memo))]
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:

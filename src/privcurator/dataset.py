@@ -4,6 +4,10 @@ A Dataset is an immutable sorted vector of real values together with the
 declared domain of the attribute. The domain matters as much as the data:
 sensitivity formulas consume min/max of the domain, and several of them are
 uncomputable when a side of the domain is unbounded.
+
+synthesize draws one synthetic dataset; synthesize_many draws many of one
+size and distribution as one sorted block, the same datasets as that many
+synthesize calls on one Generator.
 """
 
 from __future__ import annotations
@@ -112,12 +116,27 @@ class Dataset:
         arr = np.asarray(self.values, dtype=np.float64)
         if arr.ndim != 1 or arr.size == 0:
             raise PreconditionError("a dataset needs at least one value")
-        if not np.all(np.isfinite(arr)):
+        self._seal(np.sort(arr))
+
+    @classmethod
+    def _from_sorted(cls, values: np.ndarray, bounds: DomainBounds, name: str) -> "Dataset":
+        # a dataset over values that are already a sorted 1-d float64 array,
+        # which it keeps (a row of a read-only block stays a view of it)
+        d = cls.__new__(cls)
+        object.__setattr__(d, "bounds", bounds)
+        object.__setattr__(d, "name", name)
+        d._seal(values)
+        return d
+
+    def _seal(self, arr: np.ndarray) -> None:
+        # sorted values: NaN sorts last and -inf/+inf to the ends, so the ends
+        # alone decide whether every value is finite
+        first, last = float(arr[0]), float(arr[-1])
+        if not (math.isfinite(first) and math.isfinite(last)):
             raise BoundsError("dataset values must be finite reals")
-        arr = np.sort(arr)
         lo, hi = self.bounds.lower, self.bounds.upper
-        if arr[0] < lo or arr[-1] > hi:
-            offender = arr[0] if arr[0] < lo else arr[-1]
+        if first < lo or last > hi:
+            offender = first if first < lo else last
             raise BoundsError(
                 f"value {offender} lies outside the declared bounds [{lo}, {hi}]"
             )
@@ -225,6 +244,19 @@ def synthesize(dist: str, n: int, seed: int | np.random.Generator) -> Dataset:
     uniform01 keeps its natural bounds [0, 1]; for standard_normal and
     exponential1 the domain is bounded to [min(sample), max(sample)], which
     makes every domain-dependent sensitivity computable on synthetic data.
+    This is synthesize_many(dist, n, seed, 1)[0].
+    """
+    return synthesize_many(dist, n, seed, 1)[0]
+
+
+def synthesize_many(dist: str, n: int, seed: int | np.random.Generator, count: int) -> list[Dataset]:
+    """count datasets of n i.i.d. values each, as count calls of synthesize.
+
+    The values are one (count, n) draw, which is row by row the stream that
+    count draws of n values take from one Generator, sorted once along its
+    rows; the bounds of standard_normal and exponential1 are the sorted
+    ends. Each dataset keeps its row of the read-only block as its values,
+    so the block lives as long as any of them.
     """
     if dist not in SYNTH_DISTRIBUTIONS:
         raise PreconditionError(
@@ -232,15 +264,21 @@ def synthesize(dist: str, n: int, seed: int | np.random.Generator) -> Dataset:
         )
     if n < 1:
         raise PreconditionError("n must be at least 1")
+    if count < 1:
+        raise PreconditionError("count must be at least 1")
     rng = np.random.default_rng(seed)
     if dist == "uniform01":
-        values = rng.random(n)
-        bounds = DomainBounds(0.0, 1.0)
+        block = rng.random((count, n))
     elif dist == "standard_normal":
-        values = rng.standard_normal(n)
-        bounds = DomainBounds(float(values.min()), float(values.max()))
+        block = rng.standard_normal((count, n))
     else:
-        values = rng.exponential(1.0, n)
-        bounds = DomainBounds(float(values.min()), float(values.max()))
+        block = rng.exponential(1.0, (count, n))
+    block.sort(axis=1)
+    block.flags.writeable = False
+    if dist == "uniform01":
+        bounds = [DomainBounds(0.0, 1.0)] * count
+    else:
+        bounds = list(map(DomainBounds, block[:, 0].tolist(), block[:, -1].tolist()))
     label = "" if isinstance(seed, np.random.Generator) else f",seed={seed}"
-    return Dataset(values, bounds, name=f"{dist}(n={n}{label})")
+    name = f"{dist}(n={n}{label})"
+    return [Dataset._from_sorted(row, b, name) for row, b in zip(block, bounds)]

@@ -35,16 +35,22 @@ class QuerySpec:
 
     Histogram edges are validated once, stored as a tuple of Python floats
     (the field that equality, hashing and repr see) and kept beside it as a
-    read-only float64 array that evaluate() searches. The text label of a
-    histogram is memoized per distinct edge tuple in a small bounded cache,
-    so a spec answered again does not format its edges again; edges are the
-    analyst's public query, so the cache holds nothing secret.
+    read-only float64 array that evaluate() searches. The hash of the fields
+    is computed on first use and kept beside them, so the memo keys that
+    hold a spec (and a 101-edge histogram's edges) hash it once. The text
+    label of a histogram is memoized per distinct spec in a small bounded
+    cache, so a spec answered again does not format its edges again; edges
+    are the analyst's public query, so the cache holds nothing secret.
     """
 
     kind: str
     lo: float | None = None
     hi: float | None = None
     edges: tuple[float, ...] | None = None
+
+    # The hash of the fields, kept on first use (see __hash__); a class
+    # attribute, not a field, so eq and repr ignore it.
+    _hash = None
 
     def __post_init__(self) -> None:
         if self.kind not in QUERY_KINDS:
@@ -69,6 +75,10 @@ class QuerySpec:
                 raise QueryError("histogram edges must be strictly increasing")
             edges.flags.writeable = False
             object.__setattr__(self, "edges", tuple(edges.tolist()))
+            # _hash before _edge_array: every spec then adds its instance
+            # attributes in one order, which keeps CPython's shared attribute
+            # layout for all specs (_hash is otherwise added on first use)
+            object.__setattr__(self, "_hash", None)
             object.__setattr__(self, "_edge_array", edges)
         else:
             if self.lo is not None or self.hi is not None or self.edges is not None:
@@ -78,6 +88,15 @@ class QuerySpec:
         # rebuild through the constructor: pickle and copy would otherwise
         # restore the private edge array as a writable copy
         return (type(self), (self.kind, self.lo, self.hi, self.edges))
+
+    def __hash__(self) -> int:
+        # the hash dataclass would compute, of the field tuple, kept after
+        # the first call (dataclass keeps a __hash__ the class defines)
+        h = self._hash
+        if h is None:
+            h = hash((self.kind, self.lo, self.hi, self.edges))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     # -- constructors ----------------------------------------------------
 
@@ -136,7 +155,7 @@ class QuerySpec:
             return "max2"
         if self.kind == RANGE_COUNT:
             return f"count:{_fmt(self.lo)}:{_fmt(self.hi)}"
-        return _histogram_label(self.edges)
+        return _histogram_label(self)
 
     # -- shape helpers ---------------------------------------------------
 
@@ -160,12 +179,12 @@ def _fmt(x: float) -> str:
     return str(int(x)) if float(x).is_integer() else repr(float(x))
 
 
-# Equal edge tuples give equal text: the only equal floats with different
-# bits are -0.0 and 0.0, and _fmt writes "0" for both. 32 entries bound what
-# a large spec can pin in memory.
+# Keyed by the spec, whose hash is computed once. Equal specs give equal
+# text: the only equal floats with different bits are -0.0 and 0.0, and _fmt
+# writes "0" for both. 32 entries bound what large specs can pin in memory.
 @lru_cache(maxsize=32)
-def _histogram_label(edges: tuple[float, ...]) -> str:
-    return "hist:" + ",".join(_fmt(e) for e in edges)
+def _histogram_label(q: QuerySpec) -> str:
+    return "hist:" + ",".join(_fmt(e) for e in q.edges)
 
 
 def _rank(q: QuerySpec, n: int) -> int:

@@ -92,6 +92,22 @@ def _order_stats(v: np.ndarray, bounds: DomainBounds, first: int, count: int) ->
     return w
 
 
+def _around(v: np.ndarray, bounds: DomainBounds, r: int) -> tuple[float, float, float]:
+    # (x~_{r-1}, x~_r, x~_{r+1}) in one read of v, O(1) whatever n. They give
+    # the value x~_r, rung 1 of the ladder, and the smooth scan's tie test,
+    # first term and first block
+    if 1 < r < v.size:
+        below, x, above = v[r - 2 : r + 1].tolist()
+        return below, x, above
+    return _stat(v, bounds, r - 1), float(v[r - 1]), _stat(v, bounds, r + 1)
+
+
+def _rung(x: float, up: float, down: float) -> float:
+    # rung i of the ladder of x = x~_r, from up = x~_{r+i} and down = x~_{r-i}:
+    # i modified records move x~_r at most to x~_{r+i} or to x~_{r-i}
+    return max(up - x, x - down)
+
+
 # ---------------------------------------------------------------------------
 # global sensitivity
 # ---------------------------------------------------------------------------
@@ -158,7 +174,8 @@ def smooth_sensitivity(d: Dataset, q: QuerySpec, beta: float) -> float:
         return float(min(2, q.n_bins))  # constant local sensitivity smooths to itself
     if not d.bounds.is_bounded:
         return math.inf
-    return _smooth_rank([(d.values, d.bounds)], _rank(q, d.n), beta)[0]
+    r = _rank(q, d.n)
+    return _smooth_rank([(d.values, d.bounds, *_around(d.values, d.bounds, r))], r, beta)[0]
 
 
 def smooth_sensitivities(ds: list[Dataset], q: QuerySpec, beta: float) -> list[float]:
@@ -172,12 +189,30 @@ def smooth_sensitivities(ds: list[Dataset], q: QuerySpec, beta: float) -> list[f
     if q.integer_valued:
         return [float(min(2, q.n_bins))] * len(ds)
     out = [math.inf] * len(ds)
-    stacks: dict[int, list[int]] = {}  # rank r, one per size n -> positions in ds
+    ranks: dict[int, int] = {}  # size n -> rank r
+    idx, rows = [], []
     for i, d in enumerate(ds):
         if d.bounds.is_bounded:
-            stacks.setdefault(_rank(q, d.n), []).append(i)
+            v = d.values
+            r = ranks.get(v.size) or ranks.setdefault(v.size, _rank(q, v.size))
+            idx.append(i)
+            rows.append((r, (v, d.bounds, *_around(v, d.bounds, r))))
+    for i, s in zip(idx, _smooth_stacks(rows, beta)):
+        out[i] = s
+    return out
+
+
+def _smooth_stacks(rows: list[tuple[int, tuple]], beta: float) -> list[float]:
+    """S(D) for every (rank r, _smooth_rank row), in list order, one stack per r."""
+    if len(rows) == 1:
+        ((r, row),) = rows
+        return _smooth_rank([row], r, beta)
+    stacks: dict[int, list[int]] = {}  # rank r -> positions in rows
+    for i, (r, _) in enumerate(rows):
+        stacks.setdefault(r, []).append(i)
+    out = [0.0] * len(rows)
     for r, idx in stacks.items():
-        for i, s in zip(idx, _smooth_rank([(ds[i].values, ds[i].bounds) for i in idx], r, beta)):
+        for i, s in zip(idx, _smooth_rank([rows[i][1] for i in idx], r, beta)):
             out[i] = s
     return out
 
@@ -258,8 +293,11 @@ def _fold(best: float, a: np.ndarray, decays: np.ndarray, span) -> list[tuple[fl
             for i, e in enumerate(ends.tolist())]
 
 
-def _smooth_rank(rows: list[tuple[np.ndarray, DomainBounds]], r: int, beta: float) -> list[float]:
-    """S(D) of x~_r for every (sorted values, bounds) row, all of one size n.
+def _smooth_rank(rows: list[tuple], r: int, beta: float) -> list[float]:
+    """S(D) of x~_r for every row, all of one size n and bounded.
+
+    A row is (sorted values, bounds, x~_{r-1}, x~_r, x~_{r+1}), the last
+    three as _around reads them, so the scan reads no statistic again.
 
     A row whose first block computes every a_k (x~_r not inside a run of
     ties, and decay_k * span falling to the first term within _DENSE_K k)
@@ -273,10 +311,8 @@ def _smooth_rank(rows: list[tuple[np.ndarray, DomainBounds]], r: int, beta: floa
     cap = n - r + 2  # the most gaps any a_k needs (see _lag_maxima)
     out = []
     lockstep, k1 = [], 0  # (position, values, bounds, span, first term) of each lockstep row, their end
-    for v, bounds in rows:
-        span = bounds.span
-        x = float(v[r - 1])
-        below, above = _stat(v, bounds, r - 1), _stat(v, bounds, r + 1)
+    for v, bounds, below, x, above in rows:
+        span = bounds.upper - bounds.lower
         if below == x == above:
             # inside a run of ties every a_k below the first outer gap is 0;
             # the term there is at least its decay times either one-sided gap
@@ -285,7 +321,7 @@ def _smooth_rank(rows: list[tuple[np.ndarray, DomainBounds]], r: int, beta: floa
                                                   x - _stat(v, bounds, r - start - 1))
             out.append(_scan(v, bounds, r, beta, start, first, 0.0, start))
             continue
-        first = max(above - x, x - below)  # a_0 > 0, the term at k = 0
+        first = _rung(x, above, below)  # a_0 > 0, the term at k = 0
         end = _block_end(0, 0, first, span, beta, n + 1)
         if end > _DENSE_K:
             out.append(_scan(v, bounds, r, beta, 0, first, 0.0, 0))
@@ -518,14 +554,9 @@ def _ladder(d: Dataset, q: QuerySpec, g: int) -> list[float]:
     v = d.values
     n = v.size
     if not q.integer_valued:
-        least = 2 if q.kind == MAXIMUM else 3
-        if n < least or q.kind == MEDIAN and n % 2 == 0:
-            odd = "odd " if q.kind == MEDIAN else ""
-            raise PreconditionError(f"{q.kind} sensitivity needs {odd}n >= {least}, got {n}")
-        # i modified records move x~_r at most to x~_{r+i} or to x~_{r-i}
-        r = _rank(q, n)
+        r = _ladder_rank(q, n)
         x = float(v[r - 1])
-        return [max(_stat(v, d.bounds, r + i) - x, x - _stat(v, d.bounds, r - i))
+        return [_rung(x, _stat(v, d.bounds, r + i), _stat(v, d.bounds, r - i))
                 for i in range(1, g + 1)]
     # i modified records move each count by at most i and at most `worst`,
     # the most any count can move. worst >= ceil(n/2): one count c has
@@ -538,6 +569,19 @@ def _ladder(d: Dataset, q: QuerySpec, g: int) -> list[float]:
         worst = max(int(counts.max()), n - int(counts.min()))
     rung = float(min(2, q.n_bins))
     return [rung * min(i, worst) for i in range(1, g + 1)]
+
+
+def _ladder_rank(q: QuerySpec, n: int) -> int:
+    """The rank r of an order statistic whose ladder is defined at size n.
+
+    Raises when it is not: the median needs odd n >= 3, max2 n >= 3 and the
+    maximum n >= 2.
+    """
+    least = 2 if q.kind == MAXIMUM else 3
+    if n < least or q.kind == MEDIAN and n % 2 == 0:
+        odd = "odd " if q.kind == MEDIAN else ""
+        raise PreconditionError(f"{q.kind} sensitivity needs {odd}n >= {least}, got {n}")
+    return _rank(q, n)
 
 
 def build_report(d: Dataset, q: QuerySpec, beta: float) -> SensitivityReport:

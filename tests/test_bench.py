@@ -6,6 +6,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+from scipy.integrate import trapezoid  # np.trapezoid needs numpy 2
 
 from privcurator import bench, curator
 from privcurator import (
@@ -216,7 +217,7 @@ def test_profile_densities_integrate_to_one():
     grid = default_profile_grid()
     rows = run_noise_profile(1.0, 1.0, grid)
     for column in ("laplace", "admissible_gamma2", "admissible_gamma3"):
-        total = np.trapezoid([r[column] for r in rows], grid)
+        total = trapezoid([r[column] for r in rows], grid)
         assert total == pytest.approx(1.0, abs=1e-3), column
 
 

@@ -24,9 +24,10 @@ def data_csv(tmp_path):
 
 
 def _answer_args(data, session, **overrides):
+    # unseeded, as the CLI runs by default; pass seed="..." to reproduce a draw
     opts = {
         "query": "median", "lower": "0", "upper": "1",
-        "regime": "dp-global", "epsilon": "0.5", "seed": "7",
+        "regime": "dp-global", "epsilon": "0.5",
     }
     opts.update(overrides)
     argv = ["answer", "--data", str(data), "--session", str(session)]
@@ -108,11 +109,28 @@ def test_negative_seed_is_refused_before_anything_is_written(data_csv, tmp_path,
 def test_answer_is_reproducible_for_a_seed(data_csv, tmp_path, capsys):
     first = tmp_path / "a.json"
     second = tmp_path / "b.json"
-    main(_answer_args(data_csv, first))
-    out1 = json.loads(capsys.readouterr().out)
-    main(_answer_args(data_csv, second))
+    main(_answer_args(data_csv, first, seed="7"))
+    captured = capsys.readouterr()
+    out1 = json.loads(captured.out)
+    # the release is published, then one warning line says the seed is a leak
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("warning:") and "seed" in lines[0], lines
+    main(_answer_args(data_csv, second, seed="7"))
     out2 = json.loads(capsys.readouterr().out)
     assert out1 == out2
+
+
+def test_unseeded_answers_draw_fresh_noise(data_csv, tmp_path, capsys):
+    # without --seed each release draws from fresh OS entropy: two runs on one
+    # input publish different values, and nothing is printed on stderr
+    values = []
+    for name in ("a.json", "b.json"):
+        assert main(_answer_args(data_csv, tmp_path / name)) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        values.append(json.loads(captured.out)["value"])
+    assert values[0] != values[1]
+    assert "seed" not in (tmp_path / "a.json").read_text(encoding="utf-8")
 
 
 def test_answer_smooth_regime_defaults_gamma(data_csv, tmp_path, capsys):

@@ -18,7 +18,7 @@ from privcurator import (
     load_csv,
     synthesize,
 )
-from privcurator.dataset import SYNTH_DISTRIBUTIONS, UNBOUNDED, encode_bound
+from privcurator.dataset import SYNTH_DISTRIBUTIONS, UNBOUNDED, encode_bound, synthesize_many
 
 
 def test_bounds_defaults_and_span():
@@ -87,6 +87,18 @@ def test_dataset_rejects_bad_values():
         Dataset(np.array([1.0, 7.0]), DomainBounds(0, 5))
     with pytest.raises(BoundsError):
         Dataset(np.array([-0.5, 2.0]), DomainBounds(0, 5))
+
+
+def test_dataset_refuses_a_non_finite_value_anywhere():
+    # the check reads the sorted ends: NaN sorts last and -inf/+inf to the ends
+    base = [0.25, 0.5, 0.75]
+    for bad in (math.nan, math.inf, -math.inf):
+        for at in range(4):
+            values = np.array(base[:at] + [bad] + base[at:])
+            with pytest.raises(BoundsError, match="finite reals"):
+                Dataset(values, DomainBounds())
+    with pytest.raises(BoundsError, match="finite reals"):
+        Dataset(np.array([math.inf, 0.5, -math.inf]), DomainBounds())
 
 
 def test_load_csv_plain_and_header(tmp_path):
@@ -290,3 +302,25 @@ def test_synthesize_rejects_bad_args():
         synthesize("pareto", 5, 0)
     with pytest.raises(PreconditionError):
         synthesize("uniform01", 0, 0)
+
+
+def test_synthesize_many_equals_one_synthesize_per_dataset():
+    for dist in SYNTH_DISTRIBUTIONS:
+        for n in (1, 9, 99, 999):
+            block_rng, loop_rng = np.random.default_rng(n), np.random.default_rng(n)
+            many = synthesize_many(dist, n, block_rng, 7)
+            loop = [synthesize(dist, n, loop_rng) for _ in range(7)]
+            for a, b in zip(many, loop, strict=True):
+                assert np.array_equal(a.values, b.values)
+                assert (a.bounds, a.name, a.n) == (b.bounds, b.name, b.n)
+                assert not a.values.flags.writeable and a._memo == {}
+            # the generator goes on where the loop's does
+            assert block_rng.random() == loop_rng.random()
+        ints = synthesize_many(dist, 5, 7, 3)
+        assert np.array_equal(ints[0].values, synthesize(dist, 5, 7).values)
+
+
+def test_synthesize_many_rejects_bad_args():
+    for args in (("pareto", 5, 0, 1), ("uniform01", 0, 0, 1), ("uniform01", 5, 0, 0)):
+        with pytest.raises(PreconditionError):
+            synthesize_many(*args)

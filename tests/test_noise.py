@@ -65,7 +65,7 @@ def test_laplace_sampler_and_densities():
     assert laplace_pdf(0.0, LaplaceParams(0.0, 1.0)) == pytest.approx(0.5)
     assert laplace_cdf(0.0, p) == pytest.approx(0.5)
     xs = np.linspace(-30, 30, 10_001)
-    assert np.trapezoid(laplace_pdf(xs, p), xs) == pytest.approx(1.0, abs=1e-4)
+    assert integrate.trapezoid(laplace_pdf(xs, p), xs) == pytest.approx(1.0, abs=1e-4)
 
 
 def test_discrete_laplace_matches_pmf():
@@ -163,7 +163,7 @@ def test_admissible_pdf_normalizes():
                                    np.linspace(-1, 1, 401),
                                    np.geomspace(1e-3, 1e7, 4000))))
     for g in (2.0, 3.0):
-        assert np.trapezoid(admissible_pdf(xs, g), xs) == pytest.approx(1.0, abs=1e-3)
+        assert integrate.trapezoid(admissible_pdf(xs, g), xs) == pytest.approx(1.0, abs=1e-3)
 
 
 def test_admissible_sampler_scale():

@@ -1,5 +1,6 @@
 """Query parsing, validation, and exact evaluation."""
 
+import copy as copy_module
 import dataclasses
 import pickle
 
@@ -235,3 +236,36 @@ def test_histogram_spec_pickles_and_replaces():
     moved = dataclasses.replace(q, edges=(0.0, 1.0))
     assert moved._edge_array.tolist() == [0.0, 1.0]
     assert evaluate(d, moved).tolist() == [2]
+
+
+def test_spec_hash_is_the_field_tuple_hash_and_computed_once(monkeypatch):
+    specs = (QuerySpec.median(), QuerySpec.maximum(), QuerySpec.second_maximum(),
+             QuerySpec.range_count(0.25, 0.75), QuerySpec.histogram(np.linspace(0.0, 1.0, 101)))
+    for q in specs:
+        fields = (q.kind, q.lo, q.hi, q.edges)
+        assert hash(q) == hash(fields) == hash(q)
+        # the kept hash is no field: equality and repr see the four fields only
+        assert [f.name for f in dataclasses.fields(q)] == ["kind", "lo", "hi", "edges"]
+        assert "_hash" not in repr(q)
+        twin = QuerySpec(*fields)
+        assert twin == q and hash(twin) == hash(q)
+        for copy in (pickle.loads(pickle.dumps(q)), dataclasses.replace(q), copy_module.copy(q),
+                     copy_module.deepcopy(q)):
+            assert copy == q and hash(copy) == hash(q)
+    # a histogram release hashes its 101 edges once: the memo and the label
+    # cache both reuse the kept hash
+    q = QuerySpec.histogram(np.linspace(0.0, 1.0, 101))
+    d = _data(*np.linspace(0.0, 1.0, 11))
+    hashed = []
+    edges_type = type(q.edges)
+
+    class CountingEdges(edges_type):
+        def __hash__(self):
+            hashed.append(1)
+            return super().__hash__()
+
+    object.__setattr__(q, "edges", CountingEdges(q.edges))
+    queries._histogram_label.cache_clear()
+    answer(d, q, MechanismConfig("gdp", 0.1, group_size=2), RandomSource(0), BudgetLedger(1.0))
+    answer(d, q, MechanismConfig("gdp", 0.1, group_size=2), RandomSource(0), BudgetLedger(1.0))
+    assert len(hashed) == 1
