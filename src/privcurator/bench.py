@@ -20,8 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .curator import BudgetLedger, Calibration, MechanismConfig, answer, calibrate_many, release
-from .dataset import SYNTH_DISTRIBUTIONS, Dataset, DomainBounds, synthesize_many
+from .curator import BudgetLedger, Calibration, MechanismConfig, answer, calibrate_block, release_block
+from .dataset import SYNTH_DISTRIBUTIONS, Dataset, DomainBounds, synthesize_block
 from .errors import BudgetExceededError, PreconditionError
 from .noise import (
     AdmissibleNoiseParams,
@@ -50,8 +50,8 @@ _MEDIAN = QuerySpec.median()
 # Trials per chunk of an error-grid cell: the datasets held at once, drawn as
 # one (chunk, n) block. At the largest plan size a block is 63 x 999 floats
 # (0.5 MB), and a chunk of short-block median scans stays within one gap
-# tensor of the stacked S(D) scan. The size moves no row: the chunks continue
-# one data stream, and every calibration is per dataset.
+# tensor of the block's S(D) scan. The size moves no row: the chunks continue
+# one data stream, and every calibration is per row.
 _TRIAL_CHUNK = 63
 
 
@@ -160,17 +160,19 @@ def run_error_grid(plan: ExperimentPlan) -> list[dict]:
     data; the true median is the calibration's exact value. A cell seeds
     three independent streams once, spawned from SeedSequence((plan.seed,
     cell index)): a Generator that every trial's dataset is drawn from, and
-    one RandomSource per regime. The trials run in chunks of _TRIAL_CHUNK.
-    A chunk's datasets are drawn first, in trial order, by one
-    dataset.synthesize_many call: one (chunk, n) block sorted once, the same
-    datasets as one synthesize call per trial. Then each regime calibrates
-    them in one call (see curator.calibrate_many, which reads each dataset's
-    order statistics once and stacks dp_smooth's smooth sensitivity scans).
-    So a cell holds one chunk's datasets at a time. Each regime's noise
-    for the whole cell is one draw from its source, one value per trial in
-    trial order (see curator.release). Within a cell the trials are i.i.d.
-    Even plan sizes drop to the nearest odd size so the median is defined;
-    the CSV reports the size actually used.
+    one RandomSource per regime; the regimes' configs are built once per
+    plan. The trials run in chunks of _TRIAL_CHUNK, each drawn as one sorted
+    (chunk, n) block with its bounds as columns (see
+    dataset.synthesize_block): row i holds the values one synthesize call
+    would give the chunk's i-th trial, and no trial gets a Dataset. Each
+    regime calibrates a chunk's block in one curator.calibrate_block call,
+    which reads the order statistics around the median as columns and scans
+    dp_smooth's S(D) as one block, so a cell holds one chunk's block at a
+    time. Each regime's noise for the whole cell is one draw from its
+    source, one value per trial in trial order (see curator.release_block).
+    Within a cell the trials are i.i.d. Even plan sizes drop to the nearest
+    odd size so the median is defined; the CSV reports the size actually
+    used.
 
     The idp_local rows equal those of one answer() per trial. The dp_smooth
     rows follow the same noise law but not the same values as one answer()
@@ -179,34 +181,43 @@ def run_error_grid(plan: ExperimentPlan) -> list[dict]:
     trial. The dp_smooth stream layout changed to this one when the grid
     began drawing a cell's noise at once.
     """
+    configs = {eps: (MechanismConfig("idp_local", eps), MechanismConfig("dp_smooth", eps, gamma=plan.gamma))
+               for eps in plan.epsilons}
     rows = []
-    cells = list(product(plan.distributions, plan.sizes, plan.epsilons))
+    cells = product(plan.distributions, plan.sizes, plan.epsilons)
     for ci, (dist, size, eps) in enumerate(cells):
         n = size if size % 2 == 1 else size - 1
-        data_seq, local_seq, smooth_seq = np.random.SeedSequence((plan.seed, ci)).spawn(3)
+        # the children SeedSequence((plan.seed, ci)).spawn(3) gives, without the parent
+        data_seq, *noise_seqs = (np.random.SeedSequence((plan.seed, ci), spawn_key=(i,)) for i in range(3))
         data_rng = np.random.default_rng(data_seq)
-        regimes = (
-            ("idp_local", MechanismConfig("idp_local", eps), RandomSource(local_seq)),
-            ("dp_smooth", MechanismConfig("dp_smooth", eps, gamma=plan.gamma), RandomSource(smooth_seq)),
-        )
-        cals: dict[str, list[Calibration]] = {regime: [] for regime, _, _ in regimes}
+        parts: tuple[list[Calibration], ...] = ([], [])  # per regime, one calibration per chunk
         for first in range(0, plan.trials, _TRIAL_CHUNK):
-            datasets = synthesize_many(dist, n, data_rng, min(_TRIAL_CHUNK, plan.trials - first))
-            for regime, cfg, _ in regimes:
-                cals[regime].extend(calibrate_many(datasets, _MEDIAN, cfg))
-            del datasets  # so the next chunk's block is drawn with this one gone
-        for regime, _, rng in regimes:
-            noisy = release(cals[regime], rng)
-            errors = [abs(y - cal.value) for y, cal in zip(noisy, cals[regime])]
+            block, lower, upper = synthesize_block(dist, n, data_rng, min(_TRIAL_CHUNK, plan.trials - first))
+            for part, cfg in zip(parts, configs[eps]):
+                part.append(calibrate_block(block, lower, upper, _MEDIAN, cfg))
+            del block, lower, upper  # so the next chunk's block is drawn with this one gone
+        for part, cfg, seq in zip(parts, configs[eps], noise_seqs):
+            cal = _joined(part)
+            noisy = release_block(cal, RandomSource(seq))
+            errors = [abs(y - x) for y, x in zip(noisy, cal.value.tolist())]
             rows.append({
                 "distribution": dist,
                 "n": n,
                 "epsilon": eps,
-                "regime": regime,
+                "regime": cfg.regime,
                 "mae": math.fsum(errors) / plan.trials,
                 "trials": plan.trials,
             })
     return rows
+
+
+def _joined(cals: list[Calibration]) -> Calibration:
+    # the block calibrations of a cell's chunks as one, in trial order
+    if len(cals) == 1:
+        return cals[0]
+    value, sens, param = (np.concatenate(column) for column in
+                          zip(*((c.value, c.sensitivity_used, c.param) for c in cals)))
+    return Calibration(value, cals[0].family, sens, param, cals[0].gamma)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,10 @@ Four regimes assemble query, sensitivity, and noise into a sanitized answer:
               sensitivity; the classic worst-case guarantee.
   dp_smooth   heavy-tailed admissible noise scaled to the smooth sensitivity
               (scale 4*gamma*S/eps with smoothing rate beta = eps/gamma).
+              Known gaps (ROADMAP items 1 and 2): an S(D) that underflows
+              to 0 on tie-heavy or modal-median data releases the exact
+              value, and the float lattice of the noisy output leaks, as it
+              does for Laplace releases.
   idp_local   Laplace or discrete Laplace scaled to the local sensitivity;
               the ratio bound holds between the actual dataset and its
               neighbors rather than between all pairs.
@@ -53,11 +57,11 @@ from .sensitivity import (
     _around,
     _ladder_rank,
     _rung,
-    _smooth_stacks,
     global_sensitivity,
     group_local_sensitivity,
     local_sensitivity,
     smooth_sensitivity,
+    smooth_sensitivity_block,
 )
 
 REGIMES = ("dp_global", "dp_smooth", "idp_local", "gdp")
@@ -327,6 +331,11 @@ class Calibration:
     family is "laplace", "discrete_laplace", "admissible", or "exact" (zero
     sensitivity); param is the Laplace b, the discrete alpha, or the
     admissible scale multiplier.
+
+    calibrate_block returns one Calibration for a whole block of datasets:
+    value, sensitivity_used and param are then columns with one entry per
+    dataset, family and gamma are those of the datasets that draw noise, and
+    a dataset whose sensitivity is 0 is exact, with param 0.
     """
 
     value: object
@@ -341,7 +350,6 @@ def calibrate(d: Dataset, q: QuerySpec, cfg: MechanismConfig) -> Calibration:
 
     Shared by answer() and by the ratio-verification oracle, which needs the
     mechanism fixed from the actual dataset before probing its neighbors.
-    This is calibrate_many([d], q, cfg)[0].
 
     The costly inputs are pure functions of the dataset and the public query,
     so they are memoized on the dataset (see Dataset): histogram counts, kept
@@ -355,83 +363,65 @@ def calibrate(d: Dataset, q: QuerySpec, cfg: MechanismConfig) -> Calibration:
     A hit versus a miss shows only whether this query, at this beta or group
     size, was asked of this dataset before. A dataset must not be mutated.
     """
-    return calibrate_many([d], q, cfg)[0]
-
-
-def calibrate_many(datasets: list[Dataset], q: QuerySpec, cfg: MechanismConfig) -> list[Calibration]:
-    """[calibrate(d, q, cfg) for d in datasets], with each dataset read once.
-
-    Every calibration, memo entry and error is the one of that loop: the
-    first dataset that fails raises what calibrate raises for it. An order
-    statistic under idp_local or dp_smooth checks its preconditions and
-    finds its rank r once per dataset size, then reads x~_{r-1}, x~_r and
-    x~_{r+1} of each dataset once, which gives the value, idp_local's local
-    sensitivity (rung 1 of the ladder) and the start of dp_smooth's scan.
-    Under dp_smooth the datasets whose S(D) misses the memo are scanned
-    together, those of one size as one stack (see
-    sensitivity.smooth_sensitivities), and every S(D) is stored in its own
-    dataset's memo, in list order, under one hold of the memo lock. Every
-    other regime and query kind calibrates one dataset at a time.
-    """
-    if cfg.regime not in ("idp_local", "dp_smooth") or q.integer_valued:
-        out = []
-        for d in datasets:
-            if q.vector_valued:
-                value = _memoized(d, ("value", q), lambda: _read_only(evaluate(d, q)))
-            else:
-                value = evaluate(d, q)
-            family = cfg.noise_family
-            if cfg.regime == "dp_global":
-                sens = global_sensitivity(q, d.bounds, d.n)
-            elif cfg.regime == "idp_local":
-                sens = local_sensitivity(d, q)
-            elif cfg.regime == "gdp":
-                g = cfg.group_size
-                if q.kind == RANGE_COUNT:
-                    sens = _group_scale(d, q, g)
-                else:
-                    sens = _memoized(d, ("gdp", q, g), lambda: _group_scale(d, q, g))
-            else:  # dp_smooth of a count: a constant, whatever the data
-                sens, family = smooth_sensitivity(d, q, cfg.epsilon / cfg.gamma), "admissible"
-            out.append(_calibration(value, sens, family, q, cfg))
-        return out
-
-    smooth = cfg.regime == "dp_smooth"
-    if smooth:
-        family, beta = "admissible", cfg.epsilon / cfg.gamma
-        key = ("smooth", q, beta)
-    else:
-        family = cfg.noise_family
-    ranks: dict[int, int] = {}  # size n -> rank r, preconditions checked
-    out, misses = [], []  # misses: (position, dataset, rank, _smooth_rank row)
-    for d in datasets:
+    family = cfg.noise_family
+    if cfg.regime in ("idp_local", "dp_smooth") and not q.integer_valued:
         v = d.values
-        r = ranks.get(v.size)
-        if r is None:
-            r = _rank(q, v.size)  # evaluate's precondition
-            if not smooth:
-                _ladder_rank(q, v.size)  # the local sensitivity's
-            ranks[v.size] = r
-        if smooth:
-            s = d._memo.get(key, _MISSING)
-            if s is not _MISSING:
-                out.append(_calibration(float(v[r - 1]), s, family, q, cfg))
-                continue
-        below, x, above = _around(v, d.bounds, r)
-        if not smooth:
-            out.append(_calibration(x, _rung(x, above, below), family, q, cfg))
-            continue
-        if not (d.bounds.is_bounded and beta > 0):
-            # raises what calibrate raises, before any later dataset is seen
-            _calibration(x, smooth_sensitivity(d, q, beta), family, q, cfg)
-        misses.append((len(out), d, r, (v, d.bounds, below, x, above)))
-        out.append(None)
-    if misses:
-        scanned = _smooth_stacks([(r, row) for _, _, r, row in misses], beta)
-        _remember_all([(d, key, s) for (_, d, _, _), s in zip(misses, scanned)])
-        for (i, _, _, row), s in zip(misses, scanned):
-            out[i] = _calibration(row[3], s, family, q, cfg)
-    return out
+        r = _rank(q, v.size)  # evaluate's precondition
+        if cfg.regime == "idp_local":
+            _ladder_rank(q, v.size)  # the local sensitivity's
+            below, x, above = _around(v, d.bounds.lower, d.bounds.upper, r)
+            return _calibration(x, _rung(x, above, below), family, q, cfg)
+        beta = cfg.epsilon / cfg.gamma
+        if d.bounds.is_bounded:
+            sens = _memoized(d, ("smooth", q, beta), lambda: smooth_sensitivity(d, q, beta))
+        else:
+            sens = smooth_sensitivity(d, q, beta)  # raises for a bad beta, else inf
+        return _calibration(float(v[r - 1]), sens, "admissible", q, cfg)
+    if q.vector_valued:
+        value = _memoized(d, ("value", q), lambda: _read_only(evaluate(d, q)))
+    else:
+        value = evaluate(d, q)
+    if cfg.regime == "dp_global":
+        sens = global_sensitivity(q, d.bounds, d.n)
+    elif cfg.regime == "idp_local":
+        sens = local_sensitivity(d, q)
+    elif cfg.regime == "gdp":
+        g = cfg.group_size
+        if q.kind == RANGE_COUNT:
+            sens = _group_scale(d, q, g)
+        else:
+            sens = _memoized(d, ("gdp", q, g), lambda: _group_scale(d, q, g))
+    else:  # dp_smooth of a count: a constant, whatever the data
+        sens, family = smooth_sensitivity(d, q, cfg.epsilon / cfg.gamma), "admissible"
+    return _calibration(value, sens, family, q, cfg)
+
+
+def calibrate_block(block: np.ndarray, lower: np.ndarray, upper: np.ndarray, q: QuerySpec,
+                    cfg: MechanismConfig) -> Calibration:
+    """calibrate() of every dataset of a sorted block, as one Calibration of columns.
+
+    Row i of the (T, n) block holds the sorted values of dataset i, whose
+    bounds are lower[i] and upper[i] (see dataset.synthesize_block); q is an
+    order statistic and cfg idp_local or dp_smooth. Entry i of each column
+    is what calibrate() gives dataset i, and the first dataset calibrate()
+    refuses raises what it raises. The preconditions are checked once;
+    x~_{r-1}, x~_r and x~_{r+1} are three column reads, and dp_smooth's
+    S(D) is one smooth_sensitivity_block scan. Nothing is memoized.
+    """
+    n = block.shape[1]
+    r = _rank(q, n)  # evaluate's precondition
+    if cfg.regime == "idp_local":
+        _ladder_rank(q, n)  # the local sensitivity's
+        below, x, above = _around(block, lower, upper, r)
+        sens, family = _rung(x, above, below), cfg.noise_family
+    else:
+        sens = smooth_sensitivity_block(block, lower, upper, q, cfg.epsilon / cfg.gamma)
+        x, family = block[:, r - 1], "admissible"
+    if family == "discrete_laplace" or not np.isfinite(sens).all():
+        i = 0 if family == "discrete_laplace" else int(np.isinf(sens).argmax())
+        _calibration(float(x[i]), float(sens[i]), family, q, cfg)  # raises for dataset i
+    # a copy of the values, so that the calibration does not keep the block alive
+    return Calibration(x.copy(), family, sens, _scale(family, sens, cfg), cfg.gamma)
 
 
 def _calibration(value, sens: float, family: str, q: QuerySpec, cfg: MechanismConfig) -> Calibration:
@@ -445,16 +435,19 @@ def _calibration(value, sens: float, family: str, q: QuerySpec, cfg: MechanismCo
         raise ConfigError(
             f"discrete_laplace masks integer-valued queries only, not {q.to_string()}"
         )
-    eps = cfg.epsilon
     if sens == 0.0:
         return Calibration(value, "exact", 0.0, 0.0)
+    return Calibration(value, family, sens, _scale(family, sens, cfg), cfg.gamma)
+
+
+def _scale(family: str, sens, cfg: MechanismConfig):
+    # the noise parameter of a family at sensitivity sens, a float or (for
+    # laplace and admissible) a column of them: 0 where sens is 0
     if family == "laplace":
-        param = sens / eps
-    elif family == "discrete_laplace":
-        param = math.exp(-eps / sens)
-    else:
-        param = 4.0 * cfg.gamma * sens / eps
-    return Calibration(value, family, sens, param, cfg.gamma)
+        return sens / cfg.epsilon
+    if family == "discrete_laplace":
+        return math.exp(-cfg.epsilon / sens)
+    return 4.0 * cfg.gamma * sens / cfg.epsilon
 
 
 # Entries per dataset memo. A curator answering a fixed set of standard
@@ -473,18 +466,12 @@ def _memoized(d: Dataset, key, compute):
     value = d._memo.get(key, _MISSING)
     if value is _MISSING:
         value = compute()
-        _remember_all([(d, key, value)])
-    return value
-
-
-def _remember_all(items) -> None:
-    # store every (dataset, key, value), in order, under one hold of the lock
-    with _memo_lock:
-        for d, key, value in items:
+        with _memo_lock:
             memo = d._memo
             memo[key] = value
             while len(memo) > _MEMO_SIZE:
                 del memo[next(iter(memo))]
+    return value
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -567,22 +554,13 @@ def release(cals: list[Calibration], rng: RandomSource) -> list:
     if any(c.family != family or c.gamma != gamma for c in noisy):
         raise PreconditionError("release draws one noise family at one gamma per call")
     scales = np.array([c.param for c in noisy])
-    # Each check accepts an interval of scales (or alphas), so all pass once
-    # the extremes do; min and max propagate a NaN.
-    lowest = _noise_params(family, float(scales.min()), gamma)
-    highest = _noise_params(family, float(scales.max()), gamma)
     vectors = any(isinstance(c.value, np.ndarray) for c in noisy)
     if vectors:
         values = np.concatenate([np.atleast_1d(c.value) for c in noisy])
         scales = np.repeat(scales, [np.size(c.value) for c in noisy])
     else:
         values = np.array([c.value for c in noisy])
-    if family == "discrete_laplace":
-        if lowest != highest:
-            raise PreconditionError("release draws discrete Laplace noise at one alpha per call")
-        flat = _add_noise(values, lowest, rng)
-    else:
-        flat = _add_noise(values, _noise_params(family, 1.0, gamma), rng, scales)
+    flat = _add_scaled_noise(values, scales, family, gamma, rng)
     if len(noisy) == len(cals) and not vectors:
         return flat
     flat = iter(flat)
@@ -590,6 +568,38 @@ def release(cals: list[Calibration], rng: RandomSource) -> list:
             else list(islice(flat, c.value.size)) if isinstance(c.value, np.ndarray)
             else next(flat)
             for c in cals]
+
+
+def release_block(cal: Calibration, rng: RandomSource) -> list[float]:
+    """The published values of a block calibration (see calibrate_block), in
+    row order, from one sampler call.
+
+    A dataset of sensitivity 0 publishes its value and draws nothing; the
+    others draw what release() draws for a list of their calibrations.
+    """
+    noisy = cal.sensitivity_used != 0.0
+    if noisy.all():
+        return _add_scaled_noise(cal.value, cal.param, cal.family, cal.gamma, rng)
+    out = cal.value.tolist()
+    if noisy.any():
+        flat = _add_scaled_noise(cal.value[noisy], cal.param[noisy], cal.family, cal.gamma, rng)
+        for i, y in zip(noisy.nonzero()[0].tolist(), flat):
+            out[i] = y
+    return out
+
+
+def _add_scaled_noise(values: np.ndarray, scales: np.ndarray, family: str, gamma, rng: RandomSource) -> list:
+    """values plus one draw of family noise, element i at scale scales[i] (or
+    at the one alpha of discrete Laplace), as published."""
+    # Each check accepts an interval of scales (or alphas), so all pass once
+    # the extremes do; min and max propagate a NaN.
+    lowest = _noise_params(family, float(scales.min()), gamma)
+    highest = _noise_params(family, float(scales.max()), gamma)
+    if family == "discrete_laplace":
+        if lowest != highest:
+            raise PreconditionError("release draws discrete Laplace noise at one alpha per call")
+        return _add_noise(values, lowest, rng)
+    return _add_noise(values, _noise_params(family, 1.0, gamma), rng, scales)
 
 
 def _add_noise(value, params, rng: RandomSource, scales=None):

@@ -5,9 +5,12 @@ declared domain of the attribute. The domain matters as much as the data:
 sensitivity formulas consume min/max of the domain, and several of them are
 uncomputable when a side of the domain is unbounded.
 
-synthesize draws one synthetic dataset; synthesize_many draws many of one
-size and distribution as one sorted block, the same datasets as that many
-synthesize calls on one Generator.
+synthesize draws one synthetic dataset. synthesize_block draws many of one
+size and distribution as one sorted block: a read-only (T, n) array whose
+rows are the sorted values of the datasets that T synthesize calls on one
+Generator draw, with their lower and upper bounds as two columns of T
+entries and no Dataset per row. curator.calibrate_block and
+sensitivity.smooth_sensitivity_block work on that layout.
 """
 
 from __future__ import annotations
@@ -244,19 +247,23 @@ def synthesize(dist: str, n: int, seed: int | np.random.Generator) -> Dataset:
     uniform01 keeps its natural bounds [0, 1]; for standard_normal and
     exponential1 the domain is bounded to [min(sample), max(sample)], which
     makes every domain-dependent sensitivity computable on synthetic data.
-    This is synthesize_many(dist, n, seed, 1)[0].
+    The dataset is the one row of synthesize_block(dist, n, seed, 1), whose
+    values it keeps as a view of the block.
     """
-    return synthesize_many(dist, n, seed, 1)[0]
+    block, lower, upper = synthesize_block(dist, n, seed, 1)
+    label = "" if isinstance(seed, np.random.Generator) else f",seed={seed}"
+    return Dataset._from_sorted(block[0], DomainBounds(lower[0], upper[0]), f"{dist}(n={n}{label})")
 
 
-def synthesize_many(dist: str, n: int, seed: int | np.random.Generator, count: int) -> list[Dataset]:
-    """count datasets of n i.i.d. values each, as count calls of synthesize.
+def synthesize_block(dist: str, n: int, seed: int | np.random.Generator,
+                     count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """count datasets of n i.i.d. values each, as a sorted block and its bounds.
 
-    The values are one (count, n) draw, which is row by row the stream that
-    count draws of n values take from one Generator, sorted once along its
-    rows; the bounds of standard_normal and exponential1 are the sorted
-    ends. Each dataset keeps its row of the read-only block as its values,
-    so the block lives as long as any of them.
+    Returns (block, lower, upper). block is one (count, n) draw, which is
+    row by row the stream that count synthesize calls take from one
+    Generator, sorted once along its rows and read-only; lower and upper
+    hold each row's bounds, as synthesize sets them: [0, 1] for uniform01,
+    the row's sorted ends otherwise.
     """
     if dist not in SYNTH_DISTRIBUTIONS:
         raise PreconditionError(
@@ -276,9 +283,5 @@ def synthesize_many(dist: str, n: int, seed: int | np.random.Generator, count: i
     block.sort(axis=1)
     block.flags.writeable = False
     if dist == "uniform01":
-        bounds = [DomainBounds(0.0, 1.0)] * count
-    else:
-        bounds = list(map(DomainBounds, block[:, 0].tolist(), block[:, -1].tolist()))
-    label = "" if isinstance(seed, np.random.Generator) else f",seed={seed}"
-    name = f"{dist}(n={n}{label})"
-    return [Dataset._from_sorted(row, b, name) for row, b in zip(block, bounds)]
+        return block, np.zeros(count), np.ones(count)
+    return block, block[:, 0], block[:, -1]

@@ -16,12 +16,10 @@ a_k = max over t = 0..k+1 of x~_{r+t} - x~_{r+t-k-1}. Up to the stopping
 index K, S(D) costs O(K) math.exp calls for the decays plus numpy work:
 O(K) for max and max2, whose a_k need at most n - r + 2 gaps each, and
 O(K log K) in the worst case for the median, whatever the spacing of the
-data. smooth_sensitivities scans the datasets of one size as one stack:
-their short first blocks run in lockstep, with the decays taken once and
-every a_k read from gap tensors of at most _GATHER_LIMIT entries, a chunk
-of datasets each. A dataset that has not stopped there, whose first block
-is long, or whose x~_r sits inside a run of ties scans on alone.
-smooth_sensitivity is that scan on a stack of one.
+data. smooth_sensitivity_block scans many datasets of one size at once, as
+a sorted block: a (T, n) array of their sorted values, with their bounds as
+two columns. Their short first blocks run in lockstep, sliced from the
+array; a row that goes on scans alone, as smooth_sensitivity does.
 
 Counting queries have constant L1 sensitivity min(2, n_bins) under the
 modify-one-record neighbor relation, where a range count has one bin. A
@@ -68,44 +66,52 @@ class SensitivityReport:
 # ---------------------------------------------------------------------------
 
 
-def _stat(v: np.ndarray, bounds: DomainBounds, i: int) -> float:
+def _stat(v: np.ndarray, lower: float, upper: float, i: int) -> float:
     # the clamped 1-based order statistic x~_i
     if i < 1:
-        return bounds.lower
+        return lower
     if i > v.size:
-        return bounds.upper
+        return upper
     return float(v[i - 1])
 
 
-def _order_stats(v: np.ndarray, bounds: DomainBounds, first: int, count: int) -> np.ndarray:
-    # x~_first .. x~_{first+count-1}; a view of v when no index is clamped, so
-    # callers must not write into it
+def _order_stats(v: np.ndarray, lower, upper, first: int, count: int) -> np.ndarray:
+    # x~_first .. x~_{first+count-1} of sorted values v, or of each row of a
+    # sorted block, whose bounds lower and upper are then (T, 1) columns; a
+    # view of v when no index is clamped, so callers must not write into it
     last = first + count - 1
-    if first >= 1 and last <= v.size:
-        return v[first - 1 : last]
+    n = v.shape[-1]
+    if first >= 1 and last <= n:
+        return v[..., first - 1 : last]
     below = min(max(1 - first, 0), count)  # entries clamped to min(Dom)
-    above = min(max(last - v.size, 0), count - below)  # entries clamped to max(Dom)
-    w = np.empty(count)
-    w[:below] = bounds.lower
-    w[below : count - above] = v[first - 1 + below : last - above]
-    w[count - above :] = bounds.upper
+    above = min(max(last - n, 0), count - below)  # entries clamped to max(Dom)
+    w = np.empty(v.shape[:-1] + (count,))
+    w[..., :below] = lower
+    w[..., below : count - above] = v[..., first - 1 + below : last - above]
+    w[..., count - above :] = upper
     return w
 
 
-def _around(v: np.ndarray, bounds: DomainBounds, r: int) -> tuple[float, float, float]:
-    # (x~_{r-1}, x~_r, x~_{r+1}) in one read of v, O(1) whatever n. They give
-    # the value x~_r, rung 1 of the ladder, and the smooth scan's tie test,
-    # first term and first block
+def _around(v: np.ndarray, lower, upper, r: int):
+    # (x~_{r-1}, x~_r, x~_{r+1}), O(1) whatever n: three floats from one read
+    # of sorted values v, or three columns of a sorted block, whose bounds
+    # are then columns too. They give the value x~_r, rung 1 of the ladder,
+    # and the smooth scan's tie test, first term and first block
+    if v.ndim == 2:
+        return v[:, r - 2] if r > 1 else lower, v[:, r - 1], v[:, r] if r < v.shape[1] else upper
     if 1 < r < v.size:
         below, x, above = v[r - 2 : r + 1].tolist()
         return below, x, above
-    return _stat(v, bounds, r - 1), float(v[r - 1]), _stat(v, bounds, r + 1)
+    return _stat(v, lower, upper, r - 1), float(v[r - 1]), _stat(v, lower, upper, r + 1)
 
 
-def _rung(x: float, up: float, down: float) -> float:
+def _rung(x, up, down):
     # rung i of the ladder of x = x~_r, from up = x~_{r+i} and down = x~_{r-i}:
-    # i modified records move x~_r at most to x~_{r+i} or to x~_{r-i}
-    return max(up - x, x - down)
+    # i modified records move x~_r at most to x~_{r+i} or to x~_{r-i}. Floats,
+    # or columns of them
+    if type(x) is float:
+        return max(up - x, x - down)
+    return np.maximum(up - x, x - down)
 
 
 # ---------------------------------------------------------------------------
@@ -143,23 +149,17 @@ def smooth_sensitivity(d: Dataset, q: QuerySpec, beta: float) -> float:
     scalar loop over k: maxima and float subtraction and multiplication round
     the same in any order, and every skipped term is shown, by monotone
     rounding, unable to beat the best before it. So no block edge moves the
-    result, and smooth_sensitivities, which scans the first blocks of many
-    datasets together, gives each the float this function gives it alone.
-    This function is that scan on a stack of one dataset.
+    result, and smooth_sensitivity_block, which scans the first blocks of
+    many datasets together, gives each the float this function gives it
+    alone.
 
     Every decay is math.exp(-beta * k), never np.exp, which can differ from
     it in the last bit: one math.exp call per k scanned, on top of the numpy
     block work.
 
-    A block of at most _DENSE_K k computes every a_k from one gap tensor.
-    The datasets of a stack whose first block is that short run it in
-    lockstep: one decay vector, and one gap tensor and one fold per chunk of
-    datasets, a fixed number of numpy calls however many datasets a chunk
-    holds. A chunk reads only each dataset's window x~_{r-K} .. x~_{r+K} of
-    the block, and its tensor holds at most _GATHER_LIMIT entries. A dataset
-    that has not stopped there, or whose first block is longer, or whose
-    x~_r sits inside a run of ties, scans on alone. In a longer block a k is
-    skipped when exp(-beta k) times the outer gap x~_{r+k+1} - x~_{r-k-1},
+    A block of at most _DENSE_K k computes every a_k from one gap matrix
+    over the window x~_{r-K} .. x~_{r+K}. In a longer block a k is skipped
+    when exp(-beta k) times the outer gap x~_{r+k+1} - x~_{r-k-1},
     which holds every gap of a_k, cannot beat the running best of
     exp(-beta k) times a one-sided gap x~_{r+k+1} - x~_r or x~_r - x~_{r-k-1},
     which a_k is at least. The remaining a_k cost O(min(k, n - r)) each:
@@ -174,46 +174,58 @@ def smooth_sensitivity(d: Dataset, q: QuerySpec, beta: float) -> float:
         return float(min(2, q.n_bins))  # constant local sensitivity smooths to itself
     if not d.bounds.is_bounded:
         return math.inf
-    r = _rank(q, d.n)
-    return _smooth_rank([(d.values, d.bounds, *_around(d.values, d.bounds, r))], r, beta)[0]
+    return _smooth_rank(d.values, d.bounds.lower, d.bounds.upper, _rank(q, d.n), beta)
 
 
-def smooth_sensitivities(ds: list[Dataset], q: QuerySpec, beta: float) -> list[float]:
-    """smooth_sensitivity(d, q, beta) for every d in ds, in list order.
+def smooth_sensitivity_block(block: np.ndarray, lower: np.ndarray, upper: np.ndarray,
+                             q: QuerySpec, beta: float) -> np.ndarray:
+    """smooth_sensitivity of every row of a sorted block, as one column.
 
-    The datasets of one size share the rank r of the statistic, and their
-    scans run as one stack (see _smooth_rank): each result is the float
-    smooth_sensitivity gives that dataset alone.
+    Row i of the (T, n) block holds the sorted values of dataset i, whose
+    bounds are lower[i] and upper[i]; entry i is the float smooth_sensitivity
+    gives that dataset. x~_{r-1}, x~_r and x~_{r+1} are three column reads.
+    The rows whose first scan block is short (x~_r not inside a run of ties,
+    and decay_k * span falling to the first term within _DENSE_K k) run it
+    in lockstep up to the largest of their block ends: the decays taken
+    once, and one gap tensor of at most _GATHER_LIMIT entries and one fold
+    per chunk of rows, over the window x~_{r-K} .. x~_{r+K} sliced from the
+    block. A row still short of its stop, and every other row, scans alone.
     """
     _check_beta(beta)
     if q.integer_valued:
-        return [float(min(2, q.n_bins))] * len(ds)
-    out = [math.inf] * len(ds)
-    ranks: dict[int, int] = {}  # size n -> rank r
-    idx, rows = [], []
-    for i, d in enumerate(ds):
-        if d.bounds.is_bounded:
-            v = d.values
-            r = ranks.get(v.size) or ranks.setdefault(v.size, _rank(q, v.size))
-            idx.append(i)
-            rows.append((r, (v, d.bounds, *_around(v, d.bounds, r))))
-    for i, s in zip(idx, _smooth_stacks(rows, beta)):
-        out[i] = s
-    return out
-
-
-def _smooth_stacks(rows: list[tuple[int, tuple]], beta: float) -> list[float]:
-    """S(D) for every (rank r, _smooth_rank row), in list order, one stack per r."""
-    if len(rows) == 1:
-        ((r, row),) = rows
-        return _smooth_rank([row], r, beta)
-    stacks: dict[int, list[int]] = {}  # rank r -> positions in rows
-    for i, (r, _) in enumerate(rows):
-        stacks.setdefault(r, []).append(i)
-    out = [0.0] * len(rows)
-    for r, idx in stacks.items():
-        for i, s in zip(idx, _smooth_rank([rows[i][1] for i in idx], r, beta)):
-            out[i] = s
+        return np.full(len(block), float(min(2, q.n_bins)))
+    n = block.shape[1]
+    r = _rank(q, n)
+    below, x, above = _around(block, lower, upper, r)
+    firsts = _rung(x, above, below).tolist()  # a_0, the term at k = 0; 0 inside a run of ties
+    spans = upper - lower
+    out = np.empty(len(block))
+    lockstep, k1 = [], 0  # the rows that run the first block in lockstep, its end
+    for i, (span, first) in enumerate(zip(spans.tolist(), firsts)):
+        if not math.isfinite(span):
+            out[i] = math.inf
+        elif first == 0.0:
+            out[i] = _smooth_rank(block[i], float(lower[i]), float(upper[i]), r, beta)
+        else:
+            end = _block_end(0, 0, first, span, beta, n + 1)
+            if end > _DENSE_K:
+                out[i] = _scan(block[i], float(lower[i]), float(upper[i]), r, beta, 0, first, 0.0, 0)
+            else:
+                lockstep.append(i)
+                k1 = max(k1, end)
+    if not lockstep:
+        return out
+    d = _decays(beta, 0, k1)
+    ks = np.arange(k1)
+    cap = n - r + 2  # the most gaps any a_k needs (see _lag_maxima)
+    window = _order_stats(block, lower[:, None], upper[:, None], r - k1, 2 * k1 + 1)
+    step = max(_GATHER_LIMIT // (k1 * min(k1 + 1, cap)), 1)  # rows per gap tensor
+    for c in range(0, len(lockstep), step):
+        rows = np.array(lockstep[c : c + step])
+        best, stopped = _fold(0.0, _lag_maxima(window[rows], k1, ks, cap), d, spans[rows, None])
+        out[rows] = best
+        for i, s in zip(rows[~stopped].tolist(), best[~stopped].tolist()):
+            out[i] = _scan(block[i], float(lower[i]), float(upper[i]), r, beta, 0, firsts[i], s, k1)
     return out
 
 
@@ -238,7 +250,7 @@ _DENSE_K = 64
 _DENSE_GAPS = 1 << 14
 
 # The lag maxima are computed in gap tensors of at most this many
-# entries, so neither a long scan nor a large stack holds a quadratic array.
+# entries, so neither a long scan nor a large block holds a quadratic array.
 _GATHER_LIMIT = 1 << 18
 
 # The pair search costs about log2(C) levels of numpy calls over
@@ -270,16 +282,16 @@ def _decays(beta: float, k0: int, k1: int) -> np.ndarray:
     return np.fromiter(map(math.exp, (-beta * np.arange(k0, k1)).tolist()), float, k1 - k0)
 
 
-def _fold(best: float, a: np.ndarray, decays: np.ndarray, span) -> list[tuple[float, bool]]:
-    """Fold one block of terms decay_k * a_k into the running best, per dataset.
+def _fold(best, a: np.ndarray, decays: np.ndarray, span):
+    """Fold one block of terms decay_k * a_k into the running best.
 
     a holds the a_k of one dataset, or one row of them per dataset of a
-    stack; every row starts from best, and span is a float or a column of
+    block; every row starts from best, and span is a float or a column of
     one span per row. A row's scan stops at the first k whose decay * span
     is at most the best of the terms before k. An a_k left at 0.0 must be
     one whose term cannot beat the best before its k, so the running best
-    stays exact. Returns, per row, the best up to the stop (or the block's
-    end) and whether the scan stopped.
+    stays exact. Returns the best up to the stop (or the block's end) and
+    whether the scan stopped: a float and a bool, or a column of each.
     """
     full = np.empty(a.shape[:-1] + (a.shape[-1] + 1,))  # the best, then the terms
     full[..., 0] = best
@@ -288,80 +300,37 @@ def _fold(best: float, a: np.ndarray, decays: np.ndarray, span) -> list[tuple[fl
     stop = decays * span <= full[..., :-1]
     ends = stop.argmax(axis=-1)
     if a.ndim == 1:
-        return [(float(full[ends]), True) if stop[ends] else (float(full[-1]), False)]
-    return [(float(full[i, e]), True) if stop[i, e] else (float(full[i, -1]), False)
-            for i, e in enumerate(ends.tolist())]
+        return (float(full[ends]), True) if stop[ends] else (float(full[-1]), False)
+    rows = np.arange(len(a))
+    stopped = stop[rows, ends]
+    return np.where(stopped, full[rows, ends], full[:, -1]), stopped
 
 
-def _smooth_rank(rows: list[tuple], r: int, beta: float) -> list[float]:
-    """S(D) of x~_r for every row, all of one size n and bounded.
-
-    A row is (sorted values, bounds, x~_{r-1}, x~_r, x~_{r+1}), the last
-    three as _around reads them, so the scan reads no statistic again.
-
-    A row whose first block computes every a_k (x~_r not inside a run of
-    ties, and decay_k * span falling to the first term within _DENSE_K k)
-    runs it in lockstep with the others: up to the largest of their block
-    ends, with the decays taken once, one gap tensor per chunk of rows and
-    one fold. Every row still short of its stop after that, and every other
-    row, scans on alone. Each row's result is the float of its scan alone
-    (see smooth_sensitivity).
-    """
-    n = rows[0][0].size
-    cap = n - r + 2  # the most gaps any a_k needs (see _lag_maxima)
-    out = []
-    lockstep, k1 = [], 0  # (position, values, bounds, span, first term) of each lockstep row, their end
-    for v, bounds, below, x, above in rows:
-        span = bounds.upper - bounds.lower
-        if below == x == above:
-            # inside a run of ties every a_k below the first outer gap is 0;
-            # the term there is at least its decay times either one-sided gap
-            start = _first_outer_gap(v, bounds, r, x)
-            first = math.exp(-beta * start) * max(_stat(v, bounds, r + start + 1) - x,
-                                                  x - _stat(v, bounds, r - start - 1))
-            out.append(_scan(v, bounds, r, beta, start, first, 0.0, start))
-            continue
-        first = _rung(x, above, below)  # a_0 > 0, the term at k = 0
-        end = _block_end(0, 0, first, span, beta, n + 1)
-        if end > _DENSE_K:
-            out.append(_scan(v, bounds, r, beta, 0, first, 0.0, 0))
-            continue
-        lockstep.append((len(out), v, bounds, span, first))
-        out.append(0.0)
-        if end > k1:
-            k1 = end
-    if not lockstep:
-        return out
-    d = _decays(beta, 0, k1)
-    ks = np.arange(k1)
-    step = max(_GATHER_LIMIT // (k1 * min(k1 + 1, cap)), 1)  # rows per gap tensor
-    for c in range(0, len(lockstep), step):
-        chunk = lockstep[c : c + step]
-        # x~_{r-k1} .. x~_{r+k1} of each row; a stack of one row is its window
-        if len(chunk) == 1:
-            ((_, v, bounds, spans, _),) = chunk
-            stack = _order_stats(v, bounds, r - k1, 2 * k1 + 1)
-        else:
-            stack = np.stack([_order_stats(v, bounds, r - k1, 2 * k1 + 1) for _, v, bounds, _, _ in chunk])
-            spans = np.array([[span] for _, _, _, span, _ in chunk])
-        folded = _fold(0.0, _lag_maxima(stack, k1, ks, cap), d, spans)
-        for (i, v, bounds, _, first), (best, stopped) in zip(chunk, folded):
-            out[i] = best if stopped else _scan(v, bounds, r, beta, 0, first, best, k1)
-    return out
+def _smooth_rank(v: np.ndarray, lower: float, upper: float, r: int, beta: float) -> float:
+    """S(D) of x~_r on sorted values v with finite bounds lower and upper."""
+    below, x, above = _around(v, lower, upper, r)
+    if below == x == above:
+        # inside a run of ties every a_k below the first outer gap is 0;
+        # the term there is at least its decay times either one-sided gap
+        start = _first_outer_gap(v, lower, upper, r, x)
+        first = math.exp(-beta * start) * max(_stat(v, lower, upper, r + start + 1) - x,
+                                              x - _stat(v, lower, upper, r - start - 1))
+        return _scan(v, lower, upper, r, beta, start, first, 0.0, start)
+    return _scan(v, lower, upper, r, beta, 0, _rung(x, above, below), 0.0, 0)
 
 
-def _scan(v: np.ndarray, bounds: DomainBounds, r: int, beta: float, start: int, first: float,
-          best: float, k0: int) -> float:
+def _scan(v: np.ndarray, lower: float, upper: float, r: int, beta: float, start: int,
+          first: float, best: float, k0: int) -> float:
     # one row's scan from k0 on, given the exact running best of the terms
     # below k0, the scan's start and its first term
     n = v.size
-    span = bounds.span
+    span = upper - lower
     cap = n - r + 2
     by_pairs = True
     while k0 <= n:
         k1 = _block_end(k0, start, max(best, first), span, beta, n + 1)
         d = _decays(beta, k0, k1)
-        w = _order_stats(v, bounds, r - k1, 2 * k1 + 1)  # x~_{r-k1} .. x~_{r+k1}
+        w = _order_stats(v, lower, upper, r - k1, 2 * k1 + 1)  # x~_{r-k1} .. x~_{r+k1}
         if k1 - k0 <= _DENSE_K and (k1 - k0) * (k1 + 1) <= _DENSE_GAPS:  # every a_k
             a = _lag_maxima(w, k1, np.arange(k0, k1), cap)
         else:
@@ -378,21 +347,21 @@ def _scan(v: np.ndarray, bounds: DomainBounds, r: int, beta: float, start: int, 
             gaps = int(np.minimum(c + (k0 + 2), cap).sum()) if c.size > 64 else 0
             if by_pairs and gaps > _PAIRS_SWITCH * k1.bit_length() * (k1 + 2048):
                 # the survivors' lag maxima would cost more than the pair search
-                s = _smooth_by_pairs(v, bounds, r, beta, best, k1)
+                s = _smooth_by_pairs(v, lower, upper, r, beta, best, k1)
                 if s is not None:
                     return s
                 by_pairs = False
             a = np.zeros(k1 - k0)
             if c.size:
                 a[c] = _lag_maxima(w, k1, c + k0, cap)
-        ((best, stopped),) = _fold(best, a, d, span)
+        best, stopped = _fold(best, a, d, span)
         if stopped:
             break
         k0 = k1
     return best
 
 
-def _first_outer_gap(v: np.ndarray, bounds: DomainBounds, r: int, x: float) -> int:
+def _first_outer_gap(v: np.ndarray, lower: float, upper: float, r: int, x: float) -> int:
     """The first k whose outer gap x~_{r+k+1} - x~_{r-k-1} is positive, for
     x = x~_r equal to x~_{r-1} and x~_{r+1}.
 
@@ -404,22 +373,22 @@ def _first_outer_gap(v: np.ndarray, bounds: DomainBounds, r: int, x: float) -> i
     first, last = int(v.searchsorted(x, "left")) + 1, int(v.searchsorted(x, "right"))
     # below x~_1 every statistic is min(Dom), above x~_n it is max(Dom); on a
     # one-point domain no gap is ever positive and no scan is needed
-    k_left = r - first if x > bounds.lower else v.size + 1
-    k_right = last - r if x < bounds.upper else v.size + 1
+    k_left = r - first if x > lower else v.size + 1
+    k_right = last - r if x < upper else v.size + 1
     return min(k_left, k_right)
 
 
 def _lag_maxima(W: np.ndarray, h: int, ks: np.ndarray, cap: int) -> np.ndarray:
     # a_k = max over t = 0..k+1 of x~_{r+t} - x~_{r+t-k-1}, for each k in the
     # ascending ks, read from W: one dataset's contiguous window x~_{r-h} ..
-    # x~_{r+h}, or a C-contiguous stack of them, one row per dataset, which
-    # gives one row of a_k per dataset. Row m of a dataset's gap matrix holds
-    # the gaps of ks[m], masked beyond t = ks[m] + 1 (every gap is >= 0). Past
-    # t = cap - 1 = n - r + 1 every gap is max(Dom) - x~_{r+t-k-1}, at most
-    # the gap at t = cap - 1 because float subtraction is monotone, so a row
-    # needs at most cap columns. A stack's caller keeps its gap tensor within
-    # _GATHER_LIMIT entries; one dataset's larger matrix is computed in
-    # halves of ks.
+    # x~_{r+h}, or a C-contiguous stack of them, one row per dataset of a
+    # block, which gives one row of a_k per dataset. Row m of a dataset's gap
+    # matrix holds the gaps of ks[m], masked beyond t = ks[m] + 1 (every gap
+    # is >= 0). Past t = cap - 1 = n - r + 1 every gap is max(Dom) -
+    # x~_{r+t-k-1}, at most the gap at t = cap - 1 because float subtraction
+    # is monotone, so a row needs at most cap columns. A block's caller keeps
+    # its gap tensor within _GATHER_LIMIT entries; one dataset's larger
+    # matrix is computed in halves of ks.
     k0, k_last = int(ks[0]), int(ks[-1])
     width = min(k_last + 2, cap)
     if W.ndim == 1 and ks.size > 1 and ks.size * width > _GATHER_LIMIT:
@@ -436,7 +405,8 @@ def _lag_maxima(W: np.ndarray, h: int, ks: np.ndarray, cap: int) -> np.ndarray:
     return gaps.max(axis=-1, where=np.arange(-1, width - 1) <= ks[:, None], initial=0.0)  # t <= k + 1
 
 
-def _smooth_by_pairs(v: np.ndarray, bounds: DomainBounds, r: int, beta: float, best: float, C: int):
+def _smooth_by_pairs(v: np.ndarray, lower: float, upper: float, r: int, beta: float, best: float,
+                     C: int):
     """S(D) by Nissim, Raskhodnikova and Smith's divide and conquer.
 
     best is the scan's exact running best when it handed over, at some k <= C,
@@ -450,13 +420,13 @@ def _smooth_by_pairs(v: np.ndarray, bounds: DomainBounds, r: int, beta: float, b
     and the caller's scan goes on.
     """
     n = v.size
-    span = bounds.span
+    span = upper - lower
     d = np.zeros(0)
     while True:
         d = np.concatenate((d, _decays(beta, d.size, C + 1)))
         if np.any(d[1:] > d[:-1]):
             return None
-        best = _pairs_max(_order_stats(v, bounds, r - C, 2 * C + 1), d[: C + 1], C, best, beta, span)
+        best = _pairs_max(_order_stats(v, lower, upper, r - C, 2 * C + 1), d[: C + 1], C, best, beta, span)
         if C == n + 1 or d[C] * span <= best:
             return best
         # decay_k * span falls to best near this k, so the stop comes no later
@@ -556,7 +526,8 @@ def _ladder(d: Dataset, q: QuerySpec, g: int) -> list[float]:
     if not q.integer_valued:
         r = _ladder_rank(q, n)
         x = float(v[r - 1])
-        return [_rung(x, _stat(v, d.bounds, r + i), _stat(v, d.bounds, r - i))
+        lower, upper = d.bounds.lower, d.bounds.upper
+        return [_rung(x, _stat(v, lower, upper, r + i), _stat(v, lower, upper, r - i))
                 for i in range(1, g + 1)]
     # i modified records move each count by at most i and at most `worst`,
     # the most any count can move. worst >= ceil(n/2): one count c has

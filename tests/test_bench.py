@@ -2,6 +2,7 @@
 
 import csv
 import math
+from collections import Counter
 from itertools import product
 
 import numpy as np
@@ -13,6 +14,8 @@ from privcurator import (
     AdmissibleNoiseParams,
     BudgetLedger,
     ConfigError,
+    Dataset,
+    DomainBounds,
     ExperimentPlan,
     MechanismConfig,
     PreconditionError,
@@ -133,6 +136,40 @@ def test_error_grid_seeds_each_cell_once(monkeypatch):
                               epsilons=(1.0,), trials=trials, seed=5)
         assert len(run_error_grid(plan)) == 2
         assert len(built) == 2
+
+
+def test_error_grid_builds_no_object_per_trial(monkeypatch):
+    # a cell calibrates its trials as one block: no Dataset, DomainBounds or
+    # memo write at all, and one Calibration per regime, however many trials
+    made = Counter()
+
+    def counting(kind, original):
+        def wrapper(*args, **kwargs):
+            made[kind] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    class CountingMemo(dict):
+        def __setitem__(self, key, value):
+            made["memo write"] += 1
+            super().__setitem__(key, value)
+
+    def seal(d, values, original=Dataset._seal):
+        made["Dataset"] += 1
+        original(d, values)
+        object.__setattr__(d, "_memo", CountingMemo())
+
+    monkeypatch.setattr(Dataset, "_seal", seal)
+    monkeypatch.setattr(DomainBounds, "__post_init__", counting("DomainBounds", DomainBounds.__post_init__))
+    monkeypatch.setattr(curator, "Calibration", counting("Calibration", curator.Calibration))
+    monkeypatch.setattr(bench, "Calibration", counting("Calibration", bench.Calibration))
+    for dist in ("uniform01", "standard_normal"):
+        for trials in (4, 40):
+            made.clear()
+            plan = ExperimentPlan(distributions=(dist,), sizes=(100,), epsilons=(0.5,),
+                                  trials=trials, seed=5)
+            assert len(run_error_grid(plan)) == 2
+            assert made == {"Calibration": 2}, (dist, trials)
 
 
 def _reference_grid(plan):

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import sys
 import threading
 import time
@@ -33,6 +34,7 @@ from privcurator import (
     save_session,
 )
 from privcurator import curator, sensitivity
+from privcurator.dataset import SYNTH_DISTRIBUTIONS, synthesize_block
 from privcurator.errors import CuratorError
 
 B01 = DomainBounds(0.0, 1.0)
@@ -233,9 +235,9 @@ def test_smooth_sensitivity_is_computed_once_per_beta(monkeypatch):
     calls = []
     smooth_rank = sensitivity._smooth_rank
 
-    def counting(rows, r, beta):
-        calls.extend([beta] * len(rows))  # one S(D) per stacked dataset
-        return smooth_rank(rows, r, beta)
+    def counting(v, lower, upper, r, beta):
+        calls.append(beta)
+        return smooth_rank(v, lower, upper, r, beta)
 
     monkeypatch.setattr(sensitivity, "_smooth_rank", counting)
     d = _d([0.1, 0.2, 0.4, 0.5, 0.7, 0.8, 0.9])
@@ -248,74 +250,121 @@ def test_smooth_sensitivity_is_computed_once_per_beta(monkeypatch):
     assert len(ledger.entries) == 4
 
 
-def _same_calibration(a, b):
-    return (type(a.value) is type(b.value) and np.array_equal(a.value, b.value)
-            and (a.family, a.sensitivity_used, a.param, a.gamma)
-            == (b.family, b.sensitivity_used, b.param, b.gamma))
+def _block(rows, lower, upper):
+    """A sorted block of same-size rows and its bound columns."""
+    return np.sort(np.array(rows, dtype=float), axis=1), np.array(lower, float), np.array(upper, float)
 
 
-def _same_memo(a, b):
-    return list(a._memo) == list(b._memo) and all(
-        np.array_equal(a._memo[key], b._memo[key]) for key in a._memo)
+def _row_calibration(cal, i):
+    """Row i of a block calibration, as calibrate() gives it for that dataset."""
+    sens = float(cal.sensitivity_used[i])
+    if sens == 0.0:
+        return curator.Calibration(float(cal.value[i]), "exact", 0.0, 0.0)
+    return curator.Calibration(float(cal.value[i]), cal.family, sens, float(cal.param[i]), cal.gamma)
 
 
-def test_calibrate_many_equals_one_calibrate_per_dataset():
+def _tie_rows(n, rng, count):
+    # rows rounded to one decimal (ties at most medians), all-tied rows, and
+    # rows with a run of ties over the median between spread values
+    rows = [np.round(rng.random(n), 1) for _ in range(count)]
+    rows[1::3] = [np.full(n, 0.3)] * len(rows[1::3])
+    for row in rows[2::3]:
+        row[: n // 2 + 1] = 0.5
+    return rows
+
+
+BLOCK_CONFIGS = ([MechanismConfig("idp_local", e) for e in (0.5, 1.0)]
+                 + [MechanismConfig("dp_smooth", e, gamma=g) for e, g in ((0.5, 3.0), (1.0, 2.0))]
+                 # beta = 1e-3 and 1e-4: rows leave the scan's first block
+                 + [MechanismConfig("dp_smooth", 2e-3, gamma=2.0), MechanismConfig("dp_smooth", 3e-4, gamma=3.0)])
+
+
+def test_calibrate_block_equals_one_calibrate_per_row(monkeypatch):
+    scans = []
+    scan = sensitivity._scan
+
+    def recording(v, lower, upper, r, beta, start, first, best, k0):
+        scans.append((start, k0))
+        return scan(v, lower, upper, r, beta, start, first, best, k0)
+
+    monkeypatch.setattr(sensitivity, "_scan", recording)
+    exact, block_scans = 0, set()
     rng = np.random.default_rng(12)
-    # two sizes, ties at some medians, and one dataset under other bounds
-    values = [np.round(rng.random(n), 1) for n in (7, 9, 7, 7, 9, 7)]
-    values.append(rng.random(9))
-    bounds = [B01] * 6 + [DomainBounds(-1.0, 2.0)]
-    queries = (QuerySpec.median(), QuerySpec.maximum(), QuerySpec.second_maximum(),
-               QuerySpec.range_count(0.2, 0.7), QuerySpec.histogram([0.0, 0.5, 1.0]))
-    for cfg in MEMO_CONFIGS:
-        for q in queries:
-            if cfg.noise_family == "discrete_laplace" and not q.integer_valued:
-                continue
-            loop_ds = [_d(v, b) for v, b in zip(values, bounds)]
-            many_ds = [_d(v, b) for v, b in zip(values, bounds)]
-            for ds in (loop_ds, many_ds):  # a memo hit in the middle
-                calibrate(ds[3], q, cfg)
-            loop = [calibrate(d, q, cfg) for d in loop_ds]
-            many = curator.calibrate_many(many_ds, q, cfg)
-            assert len(many) == len(loop)
-            assert all(map(_same_calibration, loop, many)), (cfg, q)
-            assert all(map(_same_memo, loop_ds, many_ds)), (cfg, q)
+    for n in (1, 3, 9, 99, 999):
+        blocks = [synthesize_block(dist, n, rng, 7) for dist in SYNTH_DISTRIBUTIONS]
+        blocks.append(_block(_tie_rows(n, rng, 7), [0.0] * 6 + [-1.0], [1.0] * 6 + [2.0]))
+        blocks.append(synthesize_block("uniform01", n, rng, 1))
+        for block, lower, upper in blocks:
+            datasets = [Dataset(row, DomainBounds(lo, hi)) for row, lo, hi in zip(block, lower, upper)]
+            for q in (QuerySpec.median(), QuerySpec.maximum(), QuerySpec.second_maximum()):
+                for cfg in BLOCK_CONFIGS:
+                    try:
+                        loop = [calibrate(d, q, cfg) for d in datasets]
+                    except CuratorError as exc:
+                        with pytest.raises(type(exc), match=re.escape(str(exc))):
+                            curator.calibrate_block(block, lower, upper, q, cfg)
+                        continue
+                    scans.clear()
+                    cal = curator.calibrate_block(block, lower, upper, q, cfg)
+                    block_scans.update(scans)
+                    assert [_row_calibration(cal, i) for i in range(len(block))] == loop, (n, q, cfg)
+                    assert all(type(c.value) is float for c in loop)
+                    exact += sum(c.family == "exact" for c in loop)
+                    # exact rows publish their value and draw nothing; the
+                    # others draw what release draws for their calibrations
+                    assert curator.release_block(cal, RandomSource(n)) == \
+                        curator.release(loop, RandomSource(n)), (n, q, cfg)
+    # exact rows were released, and block rows scanned on past the lockstep
+    # block as well as alone from the start
+    assert exact > 0 and (0, 0) in block_scans
+    assert any(k0 > start == 0 for start, k0 in block_scans)
+    assert any(k0 == start > 0 for start, k0 in block_scans)  # rows inside a run of ties
 
 
-def test_calibrate_many_stacks_each_size_once(monkeypatch):
-    stacks = []
-    smooth_rank = sensitivity._smooth_rank
+def test_calibrate_block_scans_the_block_once(monkeypatch):
+    windows = []
+    lag_maxima = sensitivity._lag_maxima
 
-    def counting(rows, r, beta):
-        stacks.append(len(rows))
-        return smooth_rank(rows, r, beta)
+    def recording(W, h, ks, cap):
+        windows.append(W.shape[:-1])
+        return lag_maxima(W, h, ks, cap)
 
-    monkeypatch.setattr(sensitivity, "_smooth_rank", counting)
-    rng = np.random.default_rng(13)
-    ds = [_d(rng.random(n)) for n in (7, 9, 7, 7, 9)]
+    monkeypatch.setattr(sensitivity, "_lag_maxima", recording)
+    block, lower, upper = synthesize_block("uniform01", 99, 13, 5)
     cfg = MechanismConfig("dp_smooth", 1.0, gamma=2.0)
-    calibrate(ds[2], QuerySpec.median(), cfg)
-    stacks.clear()
-    curator.calibrate_many(ds, QuerySpec.median(), cfg)
-    assert stacks == [2, 2]  # the misses of size 7, then of size 9
-    curator.calibrate_many(ds, QuerySpec.median(), cfg)
-    assert stacks == [2, 2]  # every S(D) is in its dataset's memo now
+    curator.calibrate_block(block, lower, upper, QuerySpec.median(), cfg)
+    assert windows == [(5,)]  # one lockstep window of all five rows
+    windows.clear()
+    curator.calibrate_block(block, lower, upper, QuerySpec.median(), MechanismConfig("idp_local", 1.0))
+    assert windows == []  # idp_local reads three columns and scans nothing
 
 
-def test_calibrate_many_raises_what_the_loop_raises_first():
-    ok, even = _d([0.1, 0.5, 0.9]), _d([0.1, 0.2, 0.3, 0.4])
-    unbounded = Dataset(np.array([1.0, 2.0, 3.0]), DomainBounds())
+def test_calibrate_block_raises_what_the_loop_raises_first():
     q = QuerySpec.median()
     smooth = MechanismConfig("dp_smooth", 1.0, gamma=2.0)
-    for cfg in (smooth, MechanismConfig("idp_local", 1.0), MechanismConfig("dp_global", 1.0)):
-        for ds in ([ok, even, unbounded, ok], [ok, unbounded, even, ok]):
-            with pytest.raises(CuratorError) as loop:
-                [calibrate(d, q, cfg) for d in ds]
-            with pytest.raises(CuratorError) as many:
-                curator.calibrate_many(ds, q, cfg)
-            assert (type(many.value), str(many.value)) == (type(loop.value), str(loop.value))
-            if cfg is smooth:  # the first failing dataset decides, whatever follows it
-                assert type(many.value) is (PreconditionError if ds[1] is even else SensitivityError)
+    rows = [[0.1, 0.5, 0.9], [1.0, 2.0, 3.0], [0.2, 0.4, 0.6], [1.0, 2.0, 3.0]]
+    inf = math.inf
+    cases = [
+        (_block(rows, [0, -inf, 0, 0], [1, 3, 1, inf]), q, smooth),
+        (_block(rows, [0, 0, 0, 0], [1, 3, 1, inf]), QuerySpec.maximum(), MechanismConfig("idp_local", 1.0)),
+        (_block(rows, [0, 0, 0, -inf], [1, 3, 1, 3]), q, smooth),
+        # beta = eps / gamma underflows to 0: the beta precondition comes first
+        (_block(rows, [0, -inf, 0, 0], [1, 3, 1, 1]), q, MechanismConfig("dp_smooth", 5e-324, gamma=4.0)),
+        (_block(rows, [0, 0, 0, 0], [1, 3, 1, 3]), q,
+         MechanismConfig("idp_local", 1.0, noise_family="discrete_laplace")),
+        # the first dataset refuses the noise family before a later one's infinite sensitivity
+        (_block(rows, [0, 0, 0, 0], [1, 3, 1, inf]), QuerySpec.maximum(),
+         MechanismConfig("idp_local", 1.0, noise_family="discrete_laplace")),
+        (_block([r + [4.0] for r in rows], [0] * 4, [5] * 4), q, smooth),
+        (_block([r + [4.0] for r in rows], [0] * 4, [5] * 4), q, MechanismConfig("idp_local", 1.0)),
+        (_block([[0.5]] * 2, [0, 0], [1, 1]), q, MechanismConfig("idp_local", 1.0)),
+    ]
+    for (block, lower, upper), q, cfg in cases:
+        with pytest.raises(CuratorError) as loop:
+            [calibrate(Dataset(row, DomainBounds(lo, hi)), q, cfg) for row, lo, hi in zip(block, lower, upper)]
+        with pytest.raises(CuratorError) as blocked:
+            curator.calibrate_block(block, lower, upper, q, cfg)
+        assert (type(blocked.value), str(blocked.value)) == (type(loop.value), str(loop.value))
 
 
 def test_memo_is_bounded_and_evicts_the_oldest():

@@ -18,7 +18,7 @@ from privcurator import (
     load_csv,
     synthesize,
 )
-from privcurator.dataset import SYNTH_DISTRIBUTIONS, UNBOUNDED, encode_bound, synthesize_many
+from privcurator.dataset import SYNTH_DISTRIBUTIONS, UNBOUNDED, encode_bound, synthesize_block
 
 
 def test_bounds_defaults_and_span():
@@ -304,23 +304,27 @@ def test_synthesize_rejects_bad_args():
         synthesize("uniform01", 0, 0)
 
 
-def test_synthesize_many_equals_one_synthesize_per_dataset():
+def test_synthesize_block_equals_one_synthesize_per_row():
     for dist in SYNTH_DISTRIBUTIONS:
         for n in (1, 9, 99, 999):
             block_rng, loop_rng = np.random.default_rng(n), np.random.default_rng(n)
-            many = synthesize_many(dist, n, block_rng, 7)
+            block, lower, upper = synthesize_block(dist, n, block_rng, 7)
             loop = [synthesize(dist, n, loop_rng) for _ in range(7)]
-            for a, b in zip(many, loop, strict=True):
-                assert np.array_equal(a.values, b.values)
-                assert (a.bounds, a.name, a.n) == (b.bounds, b.name, b.n)
-                assert not a.values.flags.writeable and a._memo == {}
+            assert block.shape == (7, n) and lower.shape == upper.shape == (7,)
+            assert not block.flags.writeable
+            for row, lo, hi, d in zip(block, lower, upper, loop, strict=True):
+                assert np.array_equal(row, d.values)
+                assert DomainBounds(lo, hi) == d.bounds
             # the generator goes on where the loop's does
             assert block_rng.random() == loop_rng.random()
-        ints = synthesize_many(dist, 5, 7, 3)
-        assert np.array_equal(ints[0].values, synthesize(dist, 5, 7).values)
+        block, _, _ = synthesize_block(dist, 5, 7, 3)
+        d = synthesize(dist, 5, 7)
+        assert np.array_equal(block[0], d.values)
+        assert d.name == f"{dist}(n=5,seed=7)" and synthesize(dist, 5, loop_rng).name == f"{dist}(n=5)"
+        assert not d.values.flags.writeable and d._memo == {}
 
 
-def test_synthesize_many_rejects_bad_args():
+def test_synthesize_block_rejects_bad_args():
     for args in (("pareto", 5, 0, 1), ("uniform01", 0, 0, 1), ("uniform01", 5, 0, 0)):
         with pytest.raises(PreconditionError):
-            synthesize_many(*args)
+            synthesize_block(*args)

@@ -1,8 +1,9 @@
 """Committed golden outputs: seeded results that must not move by accident.
 
 tests/golden/outputs.json holds, as float hex, the rows of a small error
-grid, S(D) of the order statistics on mixed data shapes, and seeded library
-answer() records over regime x query kind x noise family x epsilon. The test
+grid, S(D) of the order statistics on mixed data shapes, seeded library
+answer() records over regime x query kind x noise family x epsilon, and the
+exact save_session text of three seeded ledgers. The test
 rebuilds every entry and compares it with the file: bit for bit when the
 installed numpy is the one that wrote the file (its header records the
 version), and within GOLDEN_ULPS units in the last place otherwise, since
@@ -22,6 +23,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +39,7 @@ from privcurator import (
     RandomSource,
     answer,
     run_error_grid,
+    save_session,
     smooth_sensitivity,
 )
 
@@ -85,6 +88,33 @@ def _guarded(compute):
         return {"error": type(exc).__name__}
 
 
+def _session_text(ledger: BudgetLedger) -> dict[str, str]:
+    """The exact text save_session writes for a ledger."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "session.json"
+        save_session(ledger, path)
+        return {"session": path.read_bytes().decode("utf-8")}
+
+
+def _sessions() -> dict[str, BudgetLedger]:
+    """Three seeded ledgers: empty, a mix of released queries, and epsilons
+    whose exact total needs more than one Shewchuk partial."""
+    empty = BudgetLedger(2.5)
+    d = _shape("uniform", 101)
+    mixed = BudgetLedger(math.inf)
+    queries = _ANSWER_QUERIES + (QuerySpec.histogram(np.linspace(0.0, 1.0, 101)),)
+    rng = np.random.default_rng(13)
+    for seed, q in enumerate(queries):
+        for regime in ("dp_global", "idp_local"):
+            cfg = MechanismConfig(regime, float(rng.uniform(0.05, 1.0)))
+            answer(d, q, cfg, RandomSource(seed), mixed)
+    partials = BudgetLedger(4.0)
+    for eps in rng.uniform(0.0, 1.0, 6):
+        partials.charge(float(eps) * 2.0 ** -int(rng.integers(0, 80)), "median")
+    assert len(partials._partials) > 1
+    return {"empty": empty, "mixed": mixed, "partials": partials}
+
+
 def build() -> dict[str, object]:
     """Every golden entry, keyed by a readable name."""
     out: dict[str, object] = {}
@@ -116,6 +146,8 @@ def build() -> dict[str, object]:
                 name = "/".join(f"{k}={v}" for k, v in cfg.to_json_dict().items())
                 out[f"answer/{shape}/{q.to_string()}/{name}/seed={seed}"] = _guarded(record)
                 seed += 1
+    for name, ledger in _sessions().items():
+        out[f"session/{name}"] = _session_text(ledger)
     return out
 
 

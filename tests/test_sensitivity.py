@@ -303,8 +303,14 @@ def test_sensitivities_equal_the_plain_reference():
                 assert group_local_sensitivity(d, q, g) == _ref_group(d, q, g), (d.n, bins, g)
 
 
+def _as_block(ds):
+    # same-size datasets as a sorted block and its bound columns
+    return (np.stack([d.values for d in ds]), np.array([d.bounds.lower for d in ds]),
+            np.array([d.bounds.upper for d in ds]))
+
+
 def _mixed_stack(n, rng):
-    # datasets of one size that the stacked scan treats differently: x~_r
+    # datasets of one size that the block scan treats differently: x~_r
     # between distinct values (the lockstep block) or inside a run of ties,
     # all tied, piled at both edges, and clustered so tightly that the first
     # block is too long for the lockstep and the stop lies far beyond it;
@@ -328,9 +334,9 @@ def test_stacked_smooth_sensitivities_equal_the_reference_row_by_row(monkeypatch
     alone = []
     scan = sensitivity._scan
 
-    def recording(v, bounds, r, beta, start, first, best, k0):
+    def recording(v, lower, upper, r, beta, start, first, best, k0):
         alone.append((start, k0))  # where a row's scan starts, and where it goes on alone
-        return scan(v, bounds, r, beta, start, first, best, k0)
+        return scan(v, lower, upper, r, beta, start, first, best, k0)
 
     monkeypatch.setattr(sensitivity, "_scan", recording)
     rng = np.random.default_rng(2024)
@@ -338,12 +344,13 @@ def test_stacked_smooth_sensitivities_equal_the_reference_row_by_row(monkeypatch
     order_qs = (QuerySpec.median(), QuerySpec.maximum(), QuerySpec.second_maximum())
     for n in (1, 3, 9, 99, 999):
         ds = _mixed_stack(n, rng)
+        block = _as_block(ds)
         for q in order_qs:
             if q.kind == "second_maximum" and n < 2:
                 continue
             for beta in betas:
-                got = sensitivity.smooth_sensitivities(ds, q, beta)
-                assert got == [_ref_smooth(d, q, beta) for d in ds], (n, q, beta)
+                got = sensitivity.smooth_sensitivity_block(*block, q, beta)
+                assert got.tolist() == [_ref_smooth(d, q, beta) for d in ds], (n, q, beta)
     # besides the lockstep rows, rows with a long first block and rows inside
     # a run of ties scanned alone from their start
     assert (0, 0) in alone and any(0 < start == k0 for start, k0 in alone)
@@ -352,6 +359,7 @@ def test_stacked_smooth_sensitivities_equal_the_reference_row_by_row(monkeypatch
 def test_stacks_larger_than_one_gap_tensor_run_in_chunks(monkeypatch):
     rng = np.random.default_rng(5)
     ds = [Dataset(rng.uniform(0.0, 1.0, 99), B01) for _ in range(400)]
+    block = _as_block(ds)
     q, beta = QuerySpec.median(), 0.2
     alone = [smooth_sensitivity(d, q, beta) for d in ds]
     tensors = []
@@ -363,25 +371,28 @@ def test_stacks_larger_than_one_gap_tensor_run_in_chunks(monkeypatch):
         return lag_maxima(W, h, ks, cap)
 
     monkeypatch.setattr(sensitivity, "_lag_maxima", recording)
-    assert sensitivity.smooth_sensitivities(ds, q, beta) == alone
+    assert sensitivity.smooth_sensitivity_block(*block, q, beta).tolist() == alone
     assert len(tensors) > 1 and max(tensors) <= sensitivity._GATHER_LIMIT
-    # a smaller limit cuts the same stack into chunks of a few rows
+    # a smaller limit cuts the same block into chunks of a few rows
     tensors.clear()
     monkeypatch.setattr(sensitivity, "_GATHER_LIMIT", 5000)
-    assert sensitivity.smooth_sensitivities(ds, q, beta) == alone
+    assert sensitivity.smooth_sensitivity_block(*block, q, beta).tolist() == alone
     assert len(tensors) > 50 and max(tensors) <= 5000
 
 
 def test_smooth_sensitivities_keep_list_order_across_sizes_and_bounds():
+    # the rows of a block keep their order, whatever their bounds, at every size
     rng = np.random.default_rng(6)
-    ds = [Dataset(rng.uniform(0.0, 1.0, n), B01) for n in (5, 7, 5, 9, 7, 5)]
-    ds.insert(3, Dataset(rng.uniform(0.0, 1.0, 7), DomainBounds(0.0, math.inf)))
-    for q in (QuerySpec.median(), QuerySpec.maximum(), QuerySpec.range_count(0.2, 0.5)):
-        assert sensitivity.smooth_sensitivities(ds, q, 0.3) == \
-            [smooth_sensitivity(d, q, 0.3) for d in ds]
-    assert sensitivity.smooth_sensitivities(ds, QuerySpec.maximum(), 0.3)[3] == math.inf
-    with pytest.raises(PreconditionError, match="beta"):
-        sensitivity.smooth_sensitivities(ds, QuerySpec.median(), 0.0)
+    for n in (5, 7, 9):
+        ds = [Dataset(rng.uniform(0.0, 1.0, n), DomainBounds(-hi, hi)) for hi in (1.0, 2.0, 1.0, 5.0)]
+        ds.insert(2, Dataset(rng.uniform(0.0, 1.0, n), DomainBounds(0.0, math.inf)))
+        block = _as_block(ds)
+        for q in (QuerySpec.median(), QuerySpec.maximum(), QuerySpec.range_count(0.2, 0.5)):
+            assert sensitivity.smooth_sensitivity_block(*block, q, 0.3).tolist() == \
+                [smooth_sensitivity(d, q, 0.3) for d in ds]
+        assert sensitivity.smooth_sensitivity_block(*block, QuerySpec.maximum(), 0.3)[2] == math.inf
+        with pytest.raises(PreconditionError, match="beta"):
+            sensitivity.smooth_sensitivity_block(*block, QuerySpec.median(), 0.0)
 
 # stop indices on, just before and just after the scans' block edges: a scan
 # whose first term is 0 ends its first block at k = 32 and, while its terms
