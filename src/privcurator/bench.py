@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .curator import BudgetLedger, Calibration, MechanismConfig, answer, calibrate_block, release_block
+from .curator import BudgetLedger, Calibration, MechanismConfig, answer, calibrate_block, release
 from .dataset import SYNTH_DISTRIBUTIONS, Dataset, DomainBounds, synthesize_block
 from .errors import BudgetExceededError, PreconditionError
 from .noise import (
@@ -168,8 +168,9 @@ def run_error_grid(plan: ExperimentPlan) -> list[dict]:
     regime calibrates a chunk's block in one curator.calibrate_block call,
     which reads the order statistics around the median as columns and scans
     dp_smooth's S(D) as one block, so a cell holds one chunk's block at a
-    time. Each regime's noise for the whole cell is one draw from its
-    source, one value per trial in trial order (see curator.release_block).
+    time. Each regime releases the chunks' calibrations joined into one
+    block calibration of the whole cell, by one curator.release call: one
+    draw from its source, one value per trial in trial order.
     Within a cell the trials are i.i.d. Even plan sizes drop to the nearest
     odd size so the median is defined; the CSV reports the size actually
     used.
@@ -198,7 +199,7 @@ def run_error_grid(plan: ExperimentPlan) -> list[dict]:
             del block, lower, upper  # so the next chunk's block is drawn with this one gone
         for part, cfg, seq in zip(parts, configs[eps], noise_seqs):
             cal = _joined(part)
-            noisy = release_block(cal, RandomSource(seq))
+            noisy = release(cal, RandomSource(seq))
             errors = [abs(y - x) for y, x in zip(noisy, cal.value.tolist())]
             rows.append({
                 "distribution": dist,

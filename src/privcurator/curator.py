@@ -19,6 +19,10 @@ Four regimes assemble query, sensitivity, and noise into a sanitized answer:
 
 Zero sensitivity releases the exact value: when no neighbor can change the
 answer there is nothing to hide.
+
+calibrate() fixes one dataset's noise plan and calibrate_block() a block of
+datasets' plans as columns; release() is the one path from either to the
+published values, and answer() charges the ledger between the two.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ import operator
 import os
 import threading
 from dataclasses import dataclass
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -303,9 +306,11 @@ def save_session(ledger: BudgetLedger, path: str | Path) -> None:
 def load_session(path: str | Path) -> BudgetLedger:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
         raise SessionError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("version") != 1:
+    if not isinstance(doc, dict):
+        raise SessionError(f"{path}: malformed session document: not a JSON object")
+    if doc.get("version") != 1:
         raise SessionError(f"{path}: unsupported session version {doc.get('version')!r}")
     try:
         total = float(doc["total_budget"])
@@ -335,7 +340,8 @@ class Calibration:
     calibrate_block returns one Calibration for a whole block of datasets:
     value, sensitivity_used and param are then columns with one entry per
     dataset, family and gamma are those of the datasets that draw noise, and
-    a dataset whose sensitivity is 0 is exact, with param 0.
+    a dataset whose sensitivity is 0 is exact, with param 0. release()
+    publishes either kind.
     """
 
     value: object
@@ -510,9 +516,8 @@ def answer(
     cal = calibrate(d, q, cfg)
     ledger.charge(cfg.epsilon, q.to_string())
 
-    (value,) = release([cal], rng)
     return NoisyAnswer(
-        value=value,
+        value=release(cal, rng),
         query=q,
         mechanism=cfg,
         sensitivity_used=cal.sensitivity_used,
@@ -520,86 +525,44 @@ def answer(
     )
 
 
-def release(cals: list[Calibration], rng: RandomSource) -> list:
-    """Draw the noise of every calibration in one sampler call; return the
-    published values, one per calibration, in list order.
+def release(cal: Calibration, rng: RandomSource):
+    """The published value of a calibration, from one sampler call.
 
-    The calibrations share one noise family (exact ones aside): Laplace at
-    any scales, discrete Laplace at one alpha, or admissible noise at one
-    gamma and any scales. Every scale or alpha passes its sampler's parameter
-    check, and an exact calibration draws nothing. A lone calibration draws
-    at its own parameters, with size None for a scalar, so answer() does no
-    array work. Several share one draw with one element per released number,
-    calibrations and histogram bins in list order. Laplace and admissible
-    noise is drawn at unit scale and each element multiplied by its
-    calibration's scale: both samplers end in scale * (unit draw), so the
-    product is bit for bit the draw at that scale. For Laplace noise the
-    size-k draw is also the stream that one answer() per calibration would
-    consume; samplers that take several uniforms per value (discrete
-    Laplace, admissible) lay a size-k draw out in blocks instead, so the
-    same stream gives other, identically distributed, values.
+    A lone calibration (see calibrate) publishes a number, or a list for a
+    histogram, drawn at its own parameters, with size None for a scalar, so
+    answer() does no array work; an exact one draws nothing. A block
+    calibration (see calibrate_block) publishes a list of one value per row,
+    in row order: a row of sensitivity 0 publishes its value and draws
+    nothing, and the other rows share one draw of unit-scale noise, element i
+    multiplied by its row's scale. Both samplers a block can hold (Laplace
+    and admissible) end in scale * (unit draw), so the product is bit for bit
+    the draw at that scale. Every row's scale passes its sampler's parameter
+    check. A size-k Laplace draw is also the stream that k lone releases
+    consume; the admissible sampler lays a size-k draw out in blocks instead,
+    so the same stream gives other, identically distributed, values.
 
     A noisy value that is not finite is refused with ConfigError (see answer).
     """
-    if len(cals) == 1:
-        (cal,) = cals
+    if not isinstance(cal.sensitivity_used, np.ndarray):
         if cal.family == "exact":
-            return [_published(cal.value)]
-        return [_add_noise(cal.value, _noise_params(cal.family, cal.param, cal.gamma), rng)]
-
-    noisy = [c for c in cals if c.family != "exact"]
-    if not noisy:
-        return [_published(c.value) for c in cals]
-    family, gamma = noisy[0].family, noisy[0].gamma
-    if any(c.family != family or c.gamma != gamma for c in noisy):
-        raise PreconditionError("release draws one noise family at one gamma per call")
-    scales = np.array([c.param for c in noisy])
-    vectors = any(isinstance(c.value, np.ndarray) for c in noisy)
-    if vectors:
-        values = np.concatenate([np.atleast_1d(c.value) for c in noisy])
-        scales = np.repeat(scales, [np.size(c.value) for c in noisy])
-    else:
-        values = np.array([c.value for c in noisy])
-    flat = _add_scaled_noise(values, scales, family, gamma, rng)
-    if len(noisy) == len(cals) and not vectors:
-        return flat
-    flat = iter(flat)
-    return [_published(c.value) if c.family == "exact"
-            else list(islice(flat, c.value.size)) if isinstance(c.value, np.ndarray)
-            else next(flat)
-            for c in cals]
-
-
-def release_block(cal: Calibration, rng: RandomSource) -> list[float]:
-    """The published values of a block calibration (see calibrate_block), in
-    row order, from one sampler call.
-
-    A dataset of sensitivity 0 publishes its value and draws nothing; the
-    others draw what release() draws for a list of their calibrations.
-    """
+            return _published(cal.value)
+        return _add_noise(cal.value, _noise_params(cal.family, cal.param, cal.gamma), rng)
     noisy = cal.sensitivity_used != 0.0
-    if noisy.all():
-        return _add_scaled_noise(cal.value, cal.param, cal.family, cal.gamma, rng)
+    every = noisy.all()
+    if not (every or noisy.any()):
+        return cal.value.tolist()
+    values, scales = (cal.value, cal.param) if every else (cal.value[noisy], cal.param[noisy])
+    # Each check accepts an interval of scales, so all pass once the extremes
+    # do; min and max propagate a NaN.
+    for scale in (scales.min(), scales.max()):
+        _noise_params(cal.family, float(scale), cal.gamma)
+    flat = _add_noise(values, _noise_params(cal.family, 1.0, cal.gamma), rng, scales)
+    if every:
+        return flat
     out = cal.value.tolist()
-    if noisy.any():
-        flat = _add_scaled_noise(cal.value[noisy], cal.param[noisy], cal.family, cal.gamma, rng)
-        for i, y in zip(noisy.nonzero()[0].tolist(), flat):
-            out[i] = y
+    for i, y in zip(noisy.nonzero()[0].tolist(), flat):
+        out[i] = y
     return out
-
-
-def _add_scaled_noise(values: np.ndarray, scales: np.ndarray, family: str, gamma, rng: RandomSource) -> list:
-    """values plus one draw of family noise, element i at scale scales[i] (or
-    at the one alpha of discrete Laplace), as published."""
-    # Each check accepts an interval of scales (or alphas), so all pass once
-    # the extremes do; min and max propagate a NaN.
-    lowest = _noise_params(family, float(scales.min()), gamma)
-    highest = _noise_params(family, float(scales.max()), gamma)
-    if family == "discrete_laplace":
-        if lowest != highest:
-            raise PreconditionError("release draws discrete Laplace noise at one alpha per call")
-        return _add_noise(values, lowest, rng)
-    return _add_noise(values, _noise_params(family, 1.0, gamma), rng, scales)
 
 
 def _add_noise(value, params, rng: RandomSource, scales=None):

@@ -121,16 +121,6 @@ class Dataset:
             raise PreconditionError("a dataset needs at least one value")
         self._seal(np.sort(arr))
 
-    @classmethod
-    def _from_sorted(cls, values: np.ndarray, bounds: DomainBounds, name: str) -> "Dataset":
-        # a dataset over values that are already a sorted 1-d float64 array,
-        # which it keeps (a row of a read-only block stays a view of it)
-        d = cls.__new__(cls)
-        object.__setattr__(d, "bounds", bounds)
-        object.__setattr__(d, "name", name)
-        d._seal(values)
-        return d
-
     def _seal(self, arr: np.ndarray) -> None:
         # sorted values: NaN sorts last and -inf/+inf to the ends, so the ends
         # alone decide whether every value is finite
@@ -209,7 +199,10 @@ def _parse_with_numpy(path: Path, bounds: DomainBounds) -> np.ndarray | None:
 
 def _load_csv_lines(path: Path, bounds: DomainBounds) -> Dataset:
     """The per-line loader: the reference semantics and every error message."""
-    lines = path.read_text(encoding="utf-8").splitlines()
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise CsvFormatError(f"{path}: not valid UTF-8: {exc}") from exc
     rows = [(i + 1, line.strip()) for i, line in enumerate(lines) if line.strip()]
     if not rows:
         raise CsvFormatError(f"{path}: file contains no values")
@@ -247,12 +240,11 @@ def synthesize(dist: str, n: int, seed: int | np.random.Generator) -> Dataset:
     uniform01 keeps its natural bounds [0, 1]; for standard_normal and
     exponential1 the domain is bounded to [min(sample), max(sample)], which
     makes every domain-dependent sensitivity computable on synthetic data.
-    The dataset is the one row of synthesize_block(dist, n, seed, 1), whose
-    values it keeps as a view of the block.
+    The dataset holds the one row of synthesize_block(dist, n, seed, 1).
     """
     block, lower, upper = synthesize_block(dist, n, seed, 1)
     label = "" if isinstance(seed, np.random.Generator) else f",seed={seed}"
-    return Dataset._from_sorted(block[0], DomainBounds(lower[0], upper[0]), f"{dist}(n={n}{label})")
+    return Dataset(block[0], DomainBounds(lower[0], upper[0]), f"{dist}(n={n}{label})")
 
 
 def synthesize_block(dist: str, n: int, seed: int | np.random.Generator,

@@ -166,6 +166,21 @@ def test_answer_missing_data_file(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_unreadable_session_and_data_files_are_reported(data_csv, tmp_path, capsys):
+    session = tmp_path / "s.json"
+    session.write_text("[1, 2]", encoding="utf-8")
+    assert main(_answer_args(data_csv, session)) == 1
+    assert "error:" in capsys.readouterr().err
+    latin = tmp_path / "latin.csv"
+    latin.write_bytes(b"0.1\n\xff0.5\n")
+    for argv in (_answer_args(latin, tmp_path / "new.json", budget="1"),
+                 ["sensitivity", "--data", str(latin), "--query", "median", "--lower", "0", "--upper", "1"]):
+        assert main(argv) == 1
+        assert "error:" in capsys.readouterr().err
+    assert session.read_text(encoding="utf-8") == "[1, 2]"
+    assert not (tmp_path / "new.json").exists()
+
+
 def test_bad_query_string(data_csv, tmp_path, capsys):
     rc = main(_answer_args(data_csv, tmp_path / "s.json", query="p95"))
     assert rc == 1

@@ -36,6 +36,7 @@ from privcurator import (
 from privcurator import curator, sensitivity
 from privcurator.dataset import SYNTH_DISTRIBUTIONS, synthesize_block
 from privcurator.errors import CuratorError
+from privcurator.noise import AdmissibleNoiseParams, sample_admissible
 
 B01 = DomainBounds(0.0, 1.0)
 
@@ -263,6 +264,24 @@ def _row_calibration(cal, i):
     return curator.Calibration(float(cal.value[i]), cal.family, sens, float(cal.param[i]), cal.gamma)
 
 
+def _released_rows(cals, rng):
+    """What release() publishes for a block whose rows calibrate to cals.
+
+    Exact rows publish their value and draw nothing. Laplace rows are one
+    lone release each, in row order, on one stream; admissible rows are the
+    values plus one unit-scale draw of the noisy rows, scaled row by row.
+    """
+    noisy = [c for c in cals if c.family != "exact"]
+    if noisy and noisy[0].family == "admissible":
+        unit = sample_admissible(AdmissibleNoiseParams(noisy[0].gamma, 1.0), rng, len(noisy))
+        draws = np.array([c.value for c in noisy]) + unit * np.array([c.param for c in noisy])
+        draws = draws.tolist()
+    else:
+        draws = [curator.release(c, rng) for c in noisy]
+    draws = iter(draws)
+    return [c.value if c.family == "exact" else next(draws) for c in cals]
+
+
 def _tie_rows(n, rng, count):
     # rows rounded to one decimal (ties at most medians), all-tied rows, and
     # rows with a run of ties over the median between spread values
@@ -310,10 +329,8 @@ def test_calibrate_block_equals_one_calibrate_per_row(monkeypatch):
                     assert [_row_calibration(cal, i) for i in range(len(block))] == loop, (n, q, cfg)
                     assert all(type(c.value) is float for c in loop)
                     exact += sum(c.family == "exact" for c in loop)
-                    # exact rows publish their value and draw nothing; the
-                    # others draw what release draws for their calibrations
-                    assert curator.release_block(cal, RandomSource(n)) == \
-                        curator.release(loop, RandomSource(n)), (n, q, cfg)
+                    assert curator.release(cal, RandomSource(n)) == \
+                        _released_rows(loop, RandomSource(n)), (n, q, cfg)
     # exact rows were released, and block rows scanned on past the lockstep
     # block as well as alone from the start
     assert exact > 0 and (0, 0) in block_scans
@@ -525,71 +542,78 @@ def test_answer_refuses_a_non_finite_release_and_keeps_the_charge():
     assert math.isfinite(answer(d, QuerySpec.median(), cfg, RandomSource(1), ledger).value)
 
 
-def test_release_draws_what_one_answer_per_calibration_draws():
-    # Laplace calibrations at different scales, with an exact one in the middle
-    datasets = [_d([0.1, 0.4, 0.5, 0.8, 0.9]), _d([0.0, 0.2, 0.3, 0.9, 1.0]),
-                _d([0.0] * 9 + [1.0] * 90), _d([0.2, 0.25, 0.7]), _d([0.3, 0.6, 0.65, 0.9, 1.0])]
-    q = QuerySpec.median()
-    cfg = MechanismConfig("idp_local", 0.5)
-    cals = [calibrate(d, q, cfg) for d in datasets]
-    assert [c.family for c in cals] == ["laplace", "laplace", "exact", "laplace", "laplace"]
-    assert len({c.param for c in cals}) == 5
-    batched = curator.release(cals, RandomSource(11))
-    rng = RandomSource(11)
-    singles = [answer(d, q, cfg, rng, _free_ledger()).value for d in datasets]
-    assert batched == singles
-    assert [math.copysign(1.0, v) for v in batched] == [math.copysign(1.0, v) for v in singles]
-    assert batched[2] == 1.0
-    assert all(type(v) is float for v in batched)
-
-
-def test_release_lays_out_histograms_and_scalars_in_list_order():
+def test_release_of_a_lone_calibration_is_what_answer_publishes():
     d = _d([0.1, 0.2, 0.6, 0.7, 0.9])
-    cfg = MechanismConfig("dp_global", 0.75)
-    queries = [QuerySpec.histogram([0.0, 0.5, 1.0]), QuerySpec.range_count(0.5, 1.0),
-               QuerySpec.histogram(np.linspace(0.0, 1.0, 5))]
-    batched = curator.release([calibrate(d, q, cfg) for q in queries], RandomSource(2))
+    cases = [(QuerySpec.median(), MechanismConfig("idp_local", 0.5)),
+             (QuerySpec.median(), MechanismConfig("dp_smooth", 1.0, gamma=3.0)),
+             (QuerySpec.histogram([0.0, 0.5, 1.0]), MechanismConfig("dp_global", 0.75)),
+             (QuerySpec.range_count(0.5, 1.0),
+              MechanismConfig("dp_global", 0.75, noise_family="discrete_laplace")),
+             (QuerySpec.histogram([0.0, 0.5, 1.0]),
+              MechanismConfig("dp_global", 0.75, noise_family="discrete_laplace"))]
+    for q, cfg in cases:
+        out = curator.release(calibrate(d, q, cfg), RandomSource(2))
+        assert out == answer(d, q, cfg, RandomSource(2), _free_ledger()).value, (q, cfg)
+    assert type(out) is list and len(out) == 2 and all(type(v) is int for v in out)
+    # an exact calibration draws nothing
+    exact = calibrate(_d([0.0] * 9 + [1.0] * 90), QuerySpec.median(), MechanismConfig("idp_local", 0.5))
     rng = RandomSource(2)
-    assert batched == [answer(d, q, cfg, rng, _free_ledger()).value for q in queries]
-    assert [len(batched[0]), len(batched[2])] == [2, 4]
-    one_bin = calibrate(d, QuerySpec.histogram([0.0, 1.0]), cfg)
-    out = curator.release([one_bin, one_bin], RandomSource(2))
-    assert [len(v) for v in out] == [1, 1]
-
-    # discrete Laplace at one alpha keeps integer counts
-    cfg = MechanismConfig("dp_global", 0.75, noise_family="discrete_laplace")
-    cal = calibrate(d, QuerySpec.range_count(0.5, 1.0), cfg)
-    out = curator.release([cal, cal, cal], RandomSource(2))
-    assert len(out) == 3 and all(type(v) is int for v in out)
-    hist = calibrate(d, QuerySpec.histogram([0.0, 0.5, 1.0]), cfg)
-    assert all(type(v) is int for v in curator.release([hist], RandomSource(2))[0])
+    assert exact.family == "exact" and curator.release(exact, rng) == 1.0
+    assert rng.uniforms() == RandomSource(2).uniforms()
 
 
-def test_release_refuses_mixed_noise_and_bad_parameters():
-    d = _d([0.1, 0.4, 0.5, 0.8, 0.9])
-    q = QuerySpec.range_count(0.5, 1.0)
-    lap = calibrate(d, q, MechanismConfig("dp_global", 1.0))
-    dl = calibrate(d, q, MechanismConfig("dp_global", 1.0, noise_family="discrete_laplace"))
-    dl2 = calibrate(d, q, MechanismConfig("dp_global", 0.5, noise_family="discrete_laplace"))
-    smooth = calibrate(d, QuerySpec.median(), MechanismConfig("dp_smooth", 1.0, gamma=3.0))
-    smooth2 = calibrate(d, QuerySpec.median(), MechanismConfig("dp_smooth", 1.0, gamma=2.0))
-    for cals in ([lap, dl], [dl, dl2], [smooth, smooth2], [lap, smooth]):
-        with pytest.raises(PreconditionError):
-            curator.release(cals, RandomSource(0))
-    # every scale passes the sampler's parameter check, not only the first
-    for scale in (math.inf, math.nan, 0.0, -1.0):
-        bad = dataclasses.replace(lap, param=scale)
-        with pytest.raises(PreconditionError, match="scale"):
-            curator.release([lap, bad, lap], RandomSource(0))
-        bad = dataclasses.replace(smooth, param=scale)
-        with pytest.raises(PreconditionError, match="scale"):
-            curator.release([smooth, bad, smooth], RandomSource(0))
-    bad = dataclasses.replace(dl, param=math.nan)
+def _laplace_and_admissible_blocks():
+    # a block of 8 median calibrations per noisy family, every row noisy
+    block, lower, upper = synthesize_block("uniform01", 9, 5, 8)
+    for cfg in (MechanismConfig("idp_local", 0.5), MechanismConfig("dp_smooth", 1.0, gamma=3.0)):
+        cal = curator.calibrate_block(block, lower, upper, QuerySpec.median(), cfg)
+        assert (cal.sensitivity_used != 0.0).all()
+        yield cal
+
+
+def test_release_of_a_block_draws_one_unit_draw_scaled_per_row():
+    lap, smooth = _laplace_and_admissible_blocks()
+    assert lap.family == "laplace" and len(set(lap.param.tolist())) > 1
+    rng = RandomSource(11)
+    lones = [curator.release(_row_calibration(lap, i), rng) for i in range(8)]
+    assert curator.release(lap, RandomSource(11)) == lones
+    assert smooth.family == "admissible"
+    unit = sample_admissible(AdmissibleNoiseParams(3.0, 1.0), RandomSource(11), 8)
+    assert curator.release(smooth, RandomSource(11)) == (smooth.value + unit * smooth.param).tolist()
+    # exact rows keep their place and draw nothing: the noisy rows take the
+    # stream in row order
+    for cal in (lap, smooth):
+        exact = np.arange(8) % 3 == 0
+        mixed = dataclasses.replace(cal, sensitivity_used=np.where(exact, 0.0, cal.sensitivity_used),
+                                    param=np.where(exact, 0.0, cal.param))
+        out = curator.release(mixed, RandomSource(11))
+        assert [out[i] for i in np.flatnonzero(exact)] == cal.value[exact].tolist()
+        noisy = dataclasses.replace(cal, value=cal.value[~exact], sensitivity_used=cal.sensitivity_used[~exact],
+                                    param=cal.param[~exact])
+        assert [out[i] for i in np.flatnonzero(~exact)] == curator.release(noisy, RandomSource(11))
+        all_exact = dataclasses.replace(mixed, sensitivity_used=np.zeros(8), param=np.zeros(8))
+        assert curator.release(all_exact, rng) == cal.value.tolist()
+    assert all(type(v) is float for v in out)
+
+
+def test_release_refuses_a_bad_scale_and_a_discrete_block():
+    for cal in _laplace_and_admissible_blocks():
+        # every row's scale passes the sampler's parameter check, not only the first
+        for scale in (math.inf, math.nan, 0.0, -1.0):
+            bad = dataclasses.replace(cal, param=np.where(np.arange(8) == 5, scale, cal.param))
+            with pytest.raises(PreconditionError, match="scale"):
+                curator.release(bad, RandomSource(0))
+            with pytest.raises(PreconditionError, match="scale"):
+                curator.release(_row_calibration(bad, 5), RandomSource(0))
+    # calibrate_block refuses discrete Laplace, and a block built by hand
+    # fails on its unit-scale draw
+    block, lower, upper = synthesize_block("uniform01", 9, 5, 2)
+    with pytest.raises(ConfigError, match="discrete_laplace"):
+        curator.calibrate_block(block, lower, upper, QuerySpec.median(),
+                                MechanismConfig("idp_local", 0.5, noise_family="discrete_laplace"))
+    discrete = curator.Calibration(np.array([2.0, 3.0]), "discrete_laplace", np.ones(2), np.full(2, 0.5))
     with pytest.raises(PreconditionError, match="alpha"):
-        curator.release([dl, bad, dl], RandomSource(0))
-    exact = dataclasses.replace(lap, family="exact", param=0.0)
-    assert curator.release([exact, exact], RandomSource(0)) == [lap.value, lap.value]
-    assert curator.release([], RandomSource(0)) == []
+        curator.release(discrete, RandomSource(0))
     assert "release" not in privcurator.__all__
 
 
@@ -913,3 +937,11 @@ def test_session_error_paths(tmp_path):
     }), encoding="utf-8")
     with pytest.raises(SessionError, match="budget"):
         load_session(overspent)
+
+
+@pytest.mark.parametrize("content", [b"[1, 2]", b'"x"', b"3", b"null", b"\xff\xfe{}"])
+def test_session_that_is_not_a_utf8_json_object_is_refused(tmp_path, content):
+    path = tmp_path / "session.json"
+    path.write_bytes(content)
+    with pytest.raises(SessionError, match="not valid JSON|not a JSON object"):
+        load_session(path)

@@ -126,6 +126,13 @@ def test_load_csv_reports_row_numbers(tmp_path):
         load_csv(oob, DomainBounds(0, 5))
 
 
+def test_load_csv_refuses_bytes_that_are_not_utf8(tmp_path):
+    bad = tmp_path / "latin.csv"
+    bad.write_bytes(b"0.1\n\xff0.5\n")
+    with pytest.raises(CsvFormatError, match="latin.csv: not valid UTF-8"):
+        load_csv(bad, DomainBounds(0, 1))
+
+
 def test_load_csv_empty_inputs(tmp_path):
     empty = tmp_path / "empty.csv"
     empty.write_text("\n\n")
@@ -139,7 +146,10 @@ def test_load_csv_empty_inputs(tmp_path):
 
 def _line_loop_reference(path, bounds):
     """The per-line loader that load_csv replaced, kept as the reference."""
-    lines = path.read_text(encoding="utf-8").splitlines()
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise CsvFormatError(f"{path}: not valid UTF-8: {exc}") from exc
     rows = [(i + 1, line.strip()) for i, line in enumerate(lines) if line.strip()]
     if not rows:
         raise CsvFormatError(f"{path}: file contains no values")
