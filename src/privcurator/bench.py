@@ -11,6 +11,7 @@ draws the noise of every trial in the cell at once.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import numbers
 import operator
@@ -161,8 +162,8 @@ def run_error_grid(plan: ExperimentPlan) -> list[dict]:
     three independent streams once, spawned from SeedSequence((plan.seed,
     cell index)): a Generator that every trial's dataset is drawn from, and
     one RandomSource per regime; the regimes' configs are built once per
-    plan. The trials run in chunks of _TRIAL_CHUNK, each drawn as one sorted
-    (chunk, n) block with its bounds as columns (see
+    (epsilon, gamma) in a process. The trials run in chunks of _TRIAL_CHUNK,
+    each drawn as one sorted (chunk, n) block with its bounds as columns (see
     dataset.synthesize_block): row i holds the values one synthesize call
     would give the chunk's i-th trial, and no trial gets a Dataset. Each
     regime calibrates a chunk's block in one curator.calibrate_block call,
@@ -182,8 +183,6 @@ def run_error_grid(plan: ExperimentPlan) -> list[dict]:
     trial. The dp_smooth stream layout changed to this one when the grid
     began drawing a cell's noise at once.
     """
-    configs = {eps: (MechanismConfig("idp_local", eps), MechanismConfig("dp_smooth", eps, gamma=plan.gamma))
-               for eps in plan.epsilons}
     rows = []
     cells = product(plan.distributions, plan.sizes, plan.epsilons)
     for ci, (dist, size, eps) in enumerate(cells):
@@ -192,12 +191,13 @@ def run_error_grid(plan: ExperimentPlan) -> list[dict]:
         data_seq, *noise_seqs = (np.random.SeedSequence((plan.seed, ci), spawn_key=(i,)) for i in range(3))
         data_rng = np.random.default_rng(data_seq)
         parts: tuple[list[Calibration], ...] = ([], [])  # per regime, one calibration per chunk
+        configs = _grid_configs(eps, plan.gamma)
         for first in range(0, plan.trials, _TRIAL_CHUNK):
             block, lower, upper = synthesize_block(dist, n, data_rng, min(_TRIAL_CHUNK, plan.trials - first))
-            for part, cfg in zip(parts, configs[eps]):
+            for part, cfg in zip(parts, configs):
                 part.append(calibrate_block(block, lower, upper, _MEDIAN, cfg))
             del block, lower, upper  # so the next chunk's block is drawn with this one gone
-        for part, cfg, seq in zip(parts, configs[eps], noise_seqs):
+        for part, cfg, seq in zip(parts, configs, noise_seqs):
             cal = _joined(part)
             noisy = release(cal, RandomSource(seq))
             errors = [abs(y - x) for y, x in zip(noisy, cal.value.tolist())]
@@ -210,6 +210,12 @@ def run_error_grid(plan: ExperimentPlan) -> list[dict]:
                 "trials": plan.trials,
             })
     return rows
+
+
+@functools.lru_cache(maxsize=64)
+def _grid_configs(eps: float, gamma: float) -> tuple[MechanismConfig, MechanismConfig]:
+    # the error grid's idp_local and dp_smooth configs at epsilon; frozen, so shared
+    return MechanismConfig("idp_local", eps), MechanismConfig("dp_smooth", eps, gamma=gamma)
 
 
 def _joined(cals: list[Calibration]) -> Calibration:

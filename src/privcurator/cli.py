@@ -107,11 +107,13 @@ def _cmd_answer(args) -> int:
     rng = RandomSource(args.seed if seeded else np.random.SeedSequence())
     session = Path(args.session)
     ledger = load_session(session) if session.exists() else BudgetLedger(args.budget)
-    spent = ledger.spent()
+    entries = len(ledger.entries)
     try:
         out = answer(d, q, cfg, rng, ledger)
     finally:
-        if ledger.spent() != spent:  # charged, even when the release was then refused
+        # charged, even when the release was then refused or the charge was
+        # too small to move the rounded total
+        if len(ledger.entries) != entries:
             save_session(ledger, session)
     print(json.dumps(out.to_json_dict(), indent=2))
     if seeded:

@@ -27,6 +27,7 @@ published values, and answer() charges the ledger between the two.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
@@ -51,6 +52,9 @@ from .noise import (
     LaplaceParams,
     AdmissibleNoiseParams,
     RandomSource,
+    _check_admissible_scale,
+    _check_alpha,
+    _check_laplace_scale,
     sample_admissible,
     sample_discrete_laplace,
     sample_laplace,
@@ -410,11 +414,17 @@ def calibrate_block(block: np.ndarray, lower: np.ndarray, upper: np.ndarray, q: 
     bounds are lower[i] and upper[i] (see dataset.synthesize_block); q is an
     order statistic and cfg idp_local or dp_smooth. Entry i of each column
     is what calibrate() gives dataset i, and the first dataset calibrate()
-    refuses raises what it raises. The preconditions are checked once;
-    x~_{r-1}, x~_r and x~_{r+1} are three column reads, and dp_smooth's
-    S(D) is one smooth_sensitivity_block scan. Nothing is memoized.
+    refuses raises what it raises; a block of no datasets is refused. The
+    preconditions are checked once; x~_{r-1}, x~_r and x~_{r+1} are three
+    column reads, and dp_smooth's S(D) is one smooth_sensitivity_block scan.
+    The noise parameters are checked by their extremes, the smallest and the
+    largest of the column, which pass exactly when every row's does; a block
+    with an exact or a refused row checks them as a column.
+    Nothing is memoized.
     """
-    n = block.shape[1]
+    T, n = block.shape
+    if T < 1:
+        raise PreconditionError("a block needs at least one dataset")
     r = _rank(q, n)  # evaluate's precondition
     if cfg.regime == "idp_local":
         _ladder_rank(q, n)  # the local sensitivity's
@@ -423,11 +433,24 @@ def calibrate_block(block: np.ndarray, lower: np.ndarray, upper: np.ndarray, q: 
     else:
         sens = smooth_sensitivity_block(block, lower, upper, q, cfg.epsilon / cfg.gamma)
         x, family = block[:, r - 1], "admissible"
-    if family == "discrete_laplace" or not np.isfinite(sens).all():
-        i = 0 if family == "discrete_laplace" else int(np.isinf(sens).argmax())
-        _calibration(float(x[i]), float(sens[i]), family, q, cfg)  # raises for dataset i
+    if family == "discrete_laplace":
+        _calibration(float(x[0]), float(sens[0]), family, q, cfg)  # raises for dataset 0
+    # _scale is monotone in sens, so these are the extremes of the scale column;
+    # an infinite sensitivity gives an infinite scale
+    lo, hi = float(np.minimum.reduce(sens)), float(np.maximum.reduce(sens))
+    if 0.0 < _scale(family, lo, cfg) <= _scale(family, hi, cfg) < math.inf:
+        scale = _scale(family, sens, cfg)
+    else:
+        # an exact row (sensitivity 0, scale 0) passes; every other row's scale
+        # must be positive and finite, as the Laplace and admissible checks ask
+        with np.errstate(over="ignore"):
+            scale = _scale(family, sens, cfg)
+        refused = (sens != 0.0) & ~((scale > 0.0) & (scale < math.inf))
+        if refused.any():
+            i = int(refused.argmax())
+            _calibration(float(x[i]), float(sens[i]), family, q, cfg)  # raises for dataset i
     # a copy of the values, so that the calibration does not keep the block alive
-    return Calibration(x.copy(), family, sens, _scale(family, sens, cfg), cfg.gamma)
+    return Calibration(x.copy(), family, sens, scale, cfg.gamma)
 
 
 def _calibration(value, sens: float, family: str, q: QuerySpec, cfg: MechanismConfig) -> Calibration:
@@ -443,7 +466,9 @@ def _calibration(value, sens: float, family: str, q: QuerySpec, cfg: MechanismCo
         )
     if sens == 0.0:
         return Calibration(value, "exact", 0.0, 0.0)
-    return Calibration(value, family, sens, _scale(family, sens, cfg), cfg.gamma)
+    param = _scale(family, sens, cfg)
+    _PARAM_CHECKS[family](param)  # before answer() charges the ledger
+    return Calibration(value, family, sens, param, cfg.gamma)
 
 
 def _scale(family: str, sens, cfg: MechanismConfig):
@@ -554,9 +579,10 @@ def release(cal: Calibration, rng: RandomSource):
     values, scales = (cal.value, cal.param) if every else (cal.value[noisy], cal.param[noisy])
     # Each check accepts an interval of scales, so all pass once the extremes
     # do; min and max propagate a NaN.
-    for scale in (scales.min(), scales.max()):
-        _noise_params(cal.family, float(scale), cal.gamma)
-    flat = _add_noise(values, _noise_params(cal.family, 1.0, cal.gamma), rng, scales)
+    check = _PARAM_CHECKS[cal.family]
+    check(float(np.minimum.reduce(scales)))
+    check(float(np.maximum.reduce(scales)))
+    flat = _add_noise(values, _unit_params(cal.family, cal.gamma), rng, scales)
     if every:
         return flat
     out = cal.value.tolist()
@@ -596,6 +622,21 @@ def _noise_params(family: str, param: float, gamma: float | None):
     if family == "discrete_laplace":
         return DiscreteLaplaceParams(param)
     return AdmissibleNoiseParams(gamma, param)
+
+
+# The check _noise_params' object makes of each family's noise parameter,
+# run on its own by the calibrations and by a block release
+_PARAM_CHECKS = {
+    "laplace": _check_laplace_scale,
+    "discrete_laplace": _check_alpha,
+    "admissible": _check_admissible_scale,
+}
+
+
+@functools.lru_cache(maxsize=16)
+def _unit_params(family: str, gamma: float | None):
+    # a block release's unit-scale noise parameters; frozen, so shared
+    return _noise_params(family, 1.0, gamma)
 
 
 def _published(value):

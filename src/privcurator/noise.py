@@ -22,6 +22,23 @@ from .errors import PreconditionError
 _TWO53 = float(1 << 53)
 
 
+# The checks each parameter object makes of its noise parameter, also run on
+# their own where a parameter is checked before any object is built
+def _check_laplace_scale(scale: float) -> None:
+    if not (scale > 0 and math.isfinite(scale)):
+        raise PreconditionError(f"Laplace scale must be positive, got {scale}")
+
+
+def _check_alpha(alpha: float) -> None:
+    if not (0.0 < alpha < 1.0):
+        raise PreconditionError(f"alpha must lie in (0, 1), got {alpha}")
+
+
+def _check_admissible_scale(scale: float) -> None:
+    if not (scale > 0 and math.isfinite(scale)):
+        raise PreconditionError(f"scale must be positive, got {scale}")
+
+
 @dataclass(frozen=True)
 class LaplaceParams:
     """Location/scale of the double exponential density (1/2b) exp(-|x-mu|/b)."""
@@ -32,8 +49,7 @@ class LaplaceParams:
     def __post_init__(self) -> None:
         if not math.isfinite(self.location):
             raise PreconditionError("Laplace location must be finite")
-        if not (self.scale > 0 and math.isfinite(self.scale)):
-            raise PreconditionError(f"Laplace scale must be positive, got {self.scale}")
+        _check_laplace_scale(self.scale)
 
 
 @dataclass(frozen=True)
@@ -43,8 +59,7 @@ class DiscreteLaplaceParams:
     alpha: float
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.alpha < 1.0):
-            raise PreconditionError(f"alpha must lie in (0, 1), got {self.alpha}")
+        _check_alpha(self.alpha)
 
 
 @dataclass(frozen=True)
@@ -57,8 +72,7 @@ class AdmissibleNoiseParams:
     def __post_init__(self) -> None:
         if not (self.gamma > 1.0 and math.isfinite(self.gamma)):
             raise PreconditionError(f"gamma must exceed 1, got {self.gamma}")
-        if not (self.scale > 0 and math.isfinite(self.scale)):
-            raise PreconditionError(f"scale must be positive, got {self.scale}")
+        _check_admissible_scale(self.scale)
 
 
 class RandomSource:

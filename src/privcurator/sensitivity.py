@@ -18,8 +18,13 @@ O(K) for max and max2, whose a_k need at most n - r + 2 gaps each, and
 O(K log K) in the worst case for the median, whatever the spacing of the
 data. smooth_sensitivity_block scans many datasets of one size at once, as
 a sorted block: a (T, n) array of their sorted values, with their bounds as
-two columns. Their short first blocks run in lockstep, sliced from the
-array; a row that goes on scans alone, as smooth_sensitivity does.
+two columns. Column operations triage the rows: each row's log guess of
+its first block end, tested as one column, picks the rows whose first
+blocks are short, and those run them in lockstep, sliced from the array. The scan's exact skip
+test screens the block's k on all of these rows at once, so only the a_k up
+to the last k that some row cannot skip are computed, as maxima over the
+outer axis of one gap tensor; a row that goes on, and every other row,
+scans alone, as smooth_sensitivity does.
 
 Counting queries have constant L1 sensitivity min(2, n_bins) under the
 modify-one-record neighbor relation, where a range count has one bin. A
@@ -29,6 +34,7 @@ and add 1 to another.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -183,13 +189,32 @@ def smooth_sensitivity_block(block: np.ndarray, lower: np.ndarray, upper: np.nda
 
     Row i of the (T, n) block holds the sorted values of dataset i, whose
     bounds are lower[i] and upper[i]; entry i is the float smooth_sensitivity
-    gives that dataset. x~_{r-1}, x~_r and x~_{r+1} are three column reads.
-    The rows whose first scan block is short (x~_r not inside a run of ties,
-    and decay_k * span falling to the first term within _DENSE_K k) run it
-    in lockstep up to the largest of their block ends: the decays taken
-    once, and one gap tensor of at most _GATHER_LIMIT entries and one fold
-    per chunk of rows, over the window x~_{r-K} .. x~_{r+K} sliced from the
-    block. A row still short of its stop, and every other row, scans alone.
+    gives that dataset. The rows' first scan blocks run in lockstep, in three
+    steps of column and block work:
+
+    - Triage. x~_{r-1}, x~_r and x~_{r+1} are three column reads, which give
+      each row's first term a_0. A row runs in lockstep when its span is
+      finite, a_0 > 0 (x~_r is not inside a run of ties) and its first block
+      ends by k = _DENSE_K: n < _DENSE_K, or its log guess of the block's
+      end, ln(span / a_0) / beta + 2, is below _DENSE_K + 1. The lockstep
+      block ends at the largest guess, or at k = n + 1. The guess only sizes
+      the block.
+    - Screen. When the block's gap tensor would hold more than _SCREEN_GAPS
+      entries, _scan's exact skip test runs on every row and k at once: a k
+      whose decay times the outer gap x~_{r+k+1} - x~_{r-k-1} is at most the
+      running best of decay times a one-sided gap x~_{r+j+1} - x~_r or
+      x~_r - x~_{r-j-1}, j < k, cannot beat the best before it. Only the a_k
+      up to the last k that some row cannot skip are computed; the others
+      are left at 0.
+    - Reduce. Those a_k are maxima over the outer axis of one gap tensor per
+      chunk of rows, of at most _GATHER_LIMIT entries (see _lag_maxima).
+      With decays that never increase, a row's best is the best of all the
+      block's terms and its stop is one test at the block's last k;
+      otherwise one _fold gives every row its best and whether it stopped.
+
+    The decays come from a small bounded cache of read-only arrays (see
+    _lockstep_decays). A row still short of its stop goes on alone from the
+    block's end, and every other row scans alone, as smooth_sensitivity does.
     """
     _check_beta(beta)
     if q.integer_valued:
@@ -197,36 +222,75 @@ def smooth_sensitivity_block(block: np.ndarray, lower: np.ndarray, upper: np.nda
     n = block.shape[1]
     r = _rank(q, n)
     below, x, above = _around(block, lower, upper, r)
-    firsts = _rung(x, above, below).tolist()  # a_0, the term at k = 0; 0 inside a run of ties
+    firsts = _rung(x, above, below)  # a_0, the term at k = 0; 0 inside a run of ties
     spans = upper - lower
+    if n < _DENSE_K:  # every first block ends by k = n + 1 <= _DENSE_K
+        lock = (firsts > 0.0) & (spans < math.inf)
+    else:
+        # a_0 > span * exp(-beta * (_DENSE_K - 1)) puts the guess below
+        # _DENSE_K + 1, and is false for an infinite span or a_0 = 0 (the
+        # exponent is capped so that the factor stays positive)
+        lock = firsts > spans * math.exp(-min(beta * (_DENSE_K - 1), 700.0))
+    if lock.size and lock.all():
+        return _lockstep(block, lower, upper, spans, firsts, r, beta)
+    rows = lock.nonzero()[0]
     out = np.empty(len(block))
-    lockstep, k1 = [], 0  # the rows that run the first block in lockstep, its end
-    for i, (span, first) in enumerate(zip(spans.tolist(), firsts)):
+    for i in (~lock).nonzero()[0].tolist():
+        span, first, lo, hi = float(spans[i]), float(firsts[i]), float(lower[i]), float(upper[i])
         if not math.isfinite(span):
             out[i] = math.inf
         elif first == 0.0:
-            out[i] = _smooth_rank(block[i], float(lower[i]), float(upper[i]), r, beta)
+            out[i] = _smooth_rank(block[i], lo, hi, r, beta)
         else:
-            end = _block_end(0, 0, first, span, beta, n + 1)
-            if end > _DENSE_K:
-                out[i] = _scan(block[i], float(lower[i]), float(upper[i]), r, beta, 0, first, 0.0, 0)
-            else:
-                lockstep.append(i)
-                k1 = max(k1, end)
-    if not lockstep:
-        return out
-    d = _decays(beta, 0, k1)
-    ks = np.arange(k1)
-    cap = n - r + 2  # the most gaps any a_k needs (see _lag_maxima)
-    window = _order_stats(block, lower[:, None], upper[:, None], r - k1, 2 * k1 + 1)
-    step = max(_GATHER_LIMIT // (k1 * min(k1 + 1, cap)), 1)  # rows per gap tensor
-    for c in range(0, len(lockstep), step):
-        rows = np.array(lockstep[c : c + step])
-        best, stopped = _fold(0.0, _lag_maxima(window[rows], k1, ks, cap), d, spans[rows, None])
-        out[rows] = best
-        for i, s in zip(rows[~stopped].tolist(), best[~stopped].tolist()):
-            out[i] = _scan(block[i], float(lower[i]), float(upper[i]), r, beta, 0, firsts[i], s, k1)
+            out[i] = _scan(block[i], lo, hi, r, beta, 0, first, 0.0, 0)
+    if rows.size:
+        out[rows] = _lockstep(block[rows], lower[rows], upper[rows], spans[rows], firsts[rows], r, beta)
     return out
+
+
+def _lockstep(block: np.ndarray, lower: np.ndarray, upper: np.ndarray, spans: np.ndarray,
+              firsts: np.ndarray, r: int, beta: float) -> np.ndarray:
+    # S(D) of the rows of a sorted block that run their first block in
+    # lockstep: finite spans, first terms a_0 > 0, and first blocks that end
+    # by k = _DENSE_K. The block ends at the largest guess, from the smallest
+    # a_0 / span, which may underflow to 0
+    n = block.shape[1]
+    least = float((firsts / spans).min())
+    guess = -math.log(least) / beta + 2.0 if least > 0.0 else math.inf
+    k1 = max(int(guess), 1) if guess < n + 1 else n + 1
+    d, descending = _lockstep_decays(beta, k1)
+    W = _order_stats(block, lower[:, None], upper[:, None], r - k1, 2 * k1 + 1)  # x~_{r-k1} .. x~_{r+k1}
+    cap = n - r + 2  # the most gaps any a_k needs (see _lag_maxima)
+    K = k1  # the a_k computed, k < K
+    if len(block) * k1 * min(k1 + 1, cap) > _SCREEN_GAPS:
+        # _scan's skip test; k = 0 always stays, as d_0 * outer_0 >= a_0 > 0
+        x, up, down = W[:, k1, None], W[:, k1 + 1 :], W[:, k1 - 1 :: -1]  # x~_r, x~_{r+k+1}, x~_{r-k-1}
+        floor = np.maximum.accumulate(d * np.maximum(up - x, x - down), axis=1)
+        stays = (d[1:] * (up[:, 1:] - down[:, 1:]) > floor[:, :-1]).any(axis=0).nonzero()[0]
+        K = int(stays[-1]) + 2 if stays.size else 1
+    ks = np.arange(K)
+    step = max(_GATHER_LIMIT // (K * min(K + 1, cap)), 1)  # rows per gap tensor
+    if step >= len(block):
+        a = _lag_maxima(W, k1, ks, cap)
+    else:
+        a = np.concatenate([_lag_maxima(W[c : c + step], k1, ks, cap) for c in range(0, len(block), step)])
+    if descending:
+        # With decays that never increase, a row's stop test, decay_k * span
+        # at most the best before k, once true stays true, and no term past
+        # the stop beats the best before it (a_k <= span). So the best up to
+        # the stop is the best of all the block's terms, and the row stopped
+        # when the test holds at k1 - 1. _fold gives the same floats.
+        terms = d[:K] * a
+        before = np.maximum.reduce(terms[:, : k1 - 1], axis=1, initial=0.0)
+        stopped = d[k1 - 1] * spans <= before
+        best = np.maximum(before, terms[:, k1 - 1]) if K == k1 else before
+    else:
+        best, stopped = _fold(0.0, a, d, spans[:, None])
+    if not stopped.all():
+        for j in (~stopped).nonzero()[0].tolist():
+            best[j] = _scan(block[j], float(lower[j]), float(upper[j]), r, beta, 0,
+                            float(firsts[j]), float(best[j]), k1)
+    return best
 
 
 def _check_beta(beta: float) -> None:
@@ -252,6 +316,11 @@ _DENSE_GAPS = 1 << 14
 # The lag maxima are computed in gap tensors of at most this many
 # entries, so neither a long scan nor a large block holds a quadratic array.
 _GATHER_LIMIT = 1 << 18
+
+# A lockstep block screens its k with the skip test when its gap tensor
+# would hold more than this many entries; below it the screen's dozen numpy
+# calls cost more than the gaps they save.
+_SCREEN_GAPS = 1 << 13
 
 # The pair search costs about log2(C) levels of numpy calls over
 # O(C) pairs each; the scan hands over to it once the survivors of one block
@@ -282,21 +351,34 @@ def _decays(beta: float, k0: int, k1: int) -> np.ndarray:
     return np.fromiter(map(math.exp, (-beta * np.arange(k0, k1)).tolist()), float, k1 - k0)
 
 
+@functools.lru_cache(maxsize=256)
+def _lockstep_decays(beta: float, k1: int) -> tuple[np.ndarray, bool]:
+    # _decays(beta, 0, k1), read-only, and whether they never increase: a
+    # lockstep block's decays. k1 <= _DENSE_K, so the cache holds at most
+    # 256 * 64 floats
+    d = _decays(beta, 0, k1)
+    d.flags.writeable = False
+    return d, bool((d[1:] <= d[:-1]).all())
+
+
 def _fold(best, a: np.ndarray, decays: np.ndarray, span):
     """Fold one block of terms decay_k * a_k into the running best.
 
     a holds the a_k of one dataset, or one row of them per dataset of a
     block; every row starts from best, and span is a float or a column of
-    one span per row. A row's scan stops at the first k whose decay * span
-    is at most the best of the terms before k. An a_k left at 0.0 must be
-    one whose term cannot beat the best before its k, so the running best
-    stays exact. Returns the best up to the stop (or the block's end) and
-    whether the scan stopped: a float and a bool, or a column of each.
+    one span per row. a may be shorter than decays: the a_k past its end are
+    0.0. A row's scan stops at the first k whose decay * span is at most the
+    best of the terms before k. An a_k left at 0.0 must be one whose term
+    cannot beat the best before its k, so the running best stays exact.
+    Returns the best up to the stop (or the block's end) and whether the
+    scan stopped: a float and a bool, or a column of each.
     """
-    full = np.empty(a.shape[:-1] + (a.shape[-1] + 1,))  # the best, then the terms
-    full[..., 0] = best
-    np.multiply(decays, a, out=full[..., 1:])
-    full = np.maximum.accumulate(full, axis=-1)
+    K = a.shape[-1]
+    full = np.zeros(a.shape[:-1] + (decays.size + 1,))  # the best, then the terms
+    if best:
+        full[..., 0] = best
+    np.multiply(decays[:K], a, out=full[..., 1 : K + 1])
+    np.maximum.accumulate(full, axis=-1, out=full)
     stop = decays * span <= full[..., :-1]
     ends = stop.argmax(axis=-1)
     if a.ndim == 1:
@@ -380,29 +462,36 @@ def _first_outer_gap(v: np.ndarray, lower: float, upper: float, r: int, x: float
 
 def _lag_maxima(W: np.ndarray, h: int, ks: np.ndarray, cap: int) -> np.ndarray:
     # a_k = max over t = 0..k+1 of x~_{r+t} - x~_{r+t-k-1}, for each k in the
-    # ascending ks, read from W: one dataset's contiguous window x~_{r-h} ..
-    # x~_{r+h}, or a C-contiguous stack of them, one row per dataset of a
-    # block, which gives one row of a_k per dataset. Row m of a dataset's gap
-    # matrix holds the gaps of ks[m], masked beyond t = ks[m] + 1 (every gap
-    # is >= 0). Past t = cap - 1 = n - r + 1 every gap is max(Dom) -
+    # ascending ks, read from W: one dataset's window x~_{r-h} .. x~_{r+h},
+    # or a stack of them, one row per dataset of a block, which gives one row
+    # of a_k per dataset. Past t = cap - 1 = n - r + 1 every gap is max(Dom) -
     # x~_{r+t-k-1}, at most the gap at t = cap - 1 because float subtraction
-    # is monotone, so a row needs at most cap columns. A block's caller keeps
-    # its gap tensor within _GATHER_LIMIT entries; one dataset's larger
-    # matrix is computed in halves of ks.
+    # is monotone, so the gaps need at most cap values of t. They form one
+    # tensor with t on the outer axis, reduced by max along it. Gap (t, k) is
+    # one of a_k exactly when its lower statistic x~_{r+t-k-1} is at or below
+    # x~_r; the gaps above are not masked but read +inf as their lower
+    # statistic, so they are -inf and never the max (every window value is
+    # finite). A block's caller keeps its gap tensor within _GATHER_LIMIT
+    # entries; one dataset's larger tensor is computed in halves of ks.
     k0, k_last = int(ks[0]), int(ks[-1])
     width = min(k_last + 2, cap)
     if W.ndim == 1 and ks.size > 1 and ks.size * width > _GATHER_LIMIT:
         half = ks.size // 2
         return np.concatenate((_lag_maxima(W, h, ks[:half], cap), _lag_maxima(W, h, ks[half:], cap)))
-    # [..., q, t] of this view of W (no copy) is x~_{r+t-k-1}, t = 0..width-1, for k = k_last - q
-    item = W.itemsize
-    lower = np.ndarray(W.shape[:-1] + (k_last - k0 + 1, width), W.dtype, W, (h - 1 - k_last) * item,
-                       W.strides[:-1] + (item, item))
-    lower = lower[..., ::-1, :] if ks.size == k_last - k0 + 1 else lower[..., k_last - ks, :]
-    gaps = W[..., None, h : h + width] - lower
-    if k0 + 2 >= width:  # every column t <= width - 1 <= k + 1 is a gap of a_k
-        return gaps.max(axis=-1)
-    return gaps.max(axis=-1, where=np.arange(-1, width - 1) <= ks[:, None], initial=0.0)  # t <= k + 1
+    upper = W.T[h : h + width, ..., None]  # [t, ..., 0] is x~_{r+t}
+    if k0 + 2 < width:  # some t <= width - 1 exceeds k + 1
+        L = np.array(W)  # a C-contiguous copy, the buffer of the view below
+        L[..., h + 1 :] = math.inf
+    else:
+        L = np.ascontiguousarray(W)
+    # [t, ..., q] of this view of L (no copy) is x~_{r+t-k-1} for k = k_last - q
+    item = L.itemsize
+    lower = np.ndarray((width,) + L.shape[:-1] + (k_last - k0 + 1,), L.dtype, L,
+                       (h - 1 - k_last) * item, (item,) + L.strides[:-1] + (item,))
+    if ks.size < k_last - k0 + 1:
+        lower = lower[..., k_last - ks[::-1]]
+    # in C order, t outermost, so that the reduce runs over whole (..., K) slices
+    return np.maximum.reduce(np.subtract(upper, lower, order="C"), axis=0)[..., ::-1]
 
 
 def _smooth_by_pairs(v: np.ndarray, lower: float, upper: float, r: int, beta: float, best: float,

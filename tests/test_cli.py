@@ -153,6 +153,35 @@ def test_answer_discrete_count_value_is_integer(data_csv, tmp_path, capsys):
     assert doc["noise"] == "discrete_laplace"
 
 
+def test_a_refused_noise_parameter_leaves_the_session_unchanged(data_csv, tmp_path, capsys):
+    # an infinite Laplace scale or a discrete alpha of 1.0 is refused before
+    # the charge: no session file is written, and an existing one keeps its bytes
+    refused = [dict(query="hist:0,0.5,1", regime="idp", epsilon="1e-320"),
+               dict(query="hist:0,0.5,1", regime="dp-global", epsilon="1e-320"),
+               dict(regime="gdp", group="2", epsilon="1e-320"),
+               dict(query="count:0.5:1", regime="idp", noise="dlaplace", epsilon="1e-17")]
+    kept = tmp_path / "kept.json"
+    assert main(_answer_args(data_csv, kept)) == 0
+    before = kept.read_bytes()
+    capsys.readouterr()
+    for i, overrides in enumerate(refused):
+        fresh = tmp_path / f"fresh{i}.json"
+        for session in (fresh, kept):
+            assert main(_answer_args(data_csv, session, **overrides)) == 1, overrides
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and ("scale" in err or "alpha" in err), err
+        assert not fresh.exists(), overrides
+    assert kept.read_bytes() == before
+
+
+def test_a_charge_too_small_to_move_the_total_is_saved(data_csv, tmp_path, capsys):
+    # 0.5 + 1e-300 rounds to 0.5, but the release is one more ledger entry
+    session = tmp_path / "session.json"
+    assert main(_answer_args(data_csv, session)) == 0
+    assert main(_answer_args(data_csv, session, epsilon="1e-300")) == 0
+    assert [e.epsilon for e in load_session(session).entries] == [0.5, 1e-300]
+
+
 def test_answer_reports_config_errors(data_csv, tmp_path, capsys):
     session = tmp_path / "session.json"
     assert main(_answer_args(data_csv, session, regime="gdp")) == 1

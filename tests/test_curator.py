@@ -375,6 +375,9 @@ def test_calibrate_block_raises_what_the_loop_raises_first():
         (_block([r + [4.0] for r in rows], [0] * 4, [5] * 4), q, smooth),
         (_block([r + [4.0] for r in rows], [0] * 4, [5] * 4), q, MechanismConfig("idp_local", 1.0)),
         (_block([[0.5]] * 2, [0, 0], [1, 1]), q, MechanismConfig("idp_local", 1.0)),
+        # a tiny epsilon: an infinite noise scale, after an exact row (x~_r in a run of ties)
+        (_block([[0.5, 0.5, 0.5]] + rows[1:], [0, 0, 0, 0], [1, 3, 1, 3]), q, MechanismConfig("idp_local", 1e-320)),
+        (_block(rows, [0, 0, 0, 0], [1, 3, 1, 3]), q, MechanismConfig("dp_smooth", 1e-320, gamma=3.0)),
     ]
     for (block, lower, upper), q, cfg in cases:
         with pytest.raises(CuratorError) as loop:
@@ -382,6 +385,15 @@ def test_calibrate_block_raises_what_the_loop_raises_first():
         with pytest.raises(CuratorError) as blocked:
             curator.calibrate_block(block, lower, upper, q, cfg)
         assert (type(blocked.value), str(blocked.value)) == (type(loop.value), str(loop.value))
+
+
+def test_calibrate_block_refuses_a_block_of_no_datasets():
+    block, lower, upper = np.empty((0, 9)), np.empty(0), np.empty(0)
+    for cfg in (MechanismConfig("idp_local", 0.5), MechanismConfig("dp_smooth", 0.5, gamma=3.0)):
+        with pytest.raises(PreconditionError, match="at least one dataset"):
+            curator.calibrate_block(block, lower, upper, QuerySpec.median(), cfg)
+    # the scan itself gives a block of no rows no column entries
+    assert sensitivity.smooth_sensitivity_block(block, lower, upper, QuerySpec.median(), 0.5).shape == (0,)
 
 
 def test_memo_is_bounded_and_evicts_the_oldest():
@@ -520,6 +532,29 @@ def test_answer_failure_leaves_ledger_untouched():
         answer(d, QuerySpec.median(), MechanismConfig("dp_global", 0.3), RandomSource(0), ledger)
     assert len(ledger.entries) == 1
     assert ledger.spent() == pytest.approx(0.8)
+
+
+def test_a_bad_noise_parameter_is_refused_before_the_charge():
+    # at a tiny epsilon the Laplace scale is inf, and the discrete alpha
+    # exp(-eps / sensitivity) rounds to 1.0: calibrate refuses both, so answer
+    # neither charges the ledger nor draws
+    d = _d([0.1, 0.4, 0.5, 0.8, 0.9])
+    hist = QuerySpec.histogram([0.0, 0.5, 1.0])
+    cases = [(hist, MechanismConfig("idp_local", 1e-320), "Laplace scale"),
+             (hist, MechanismConfig("dp_global", 1e-320), "Laplace scale"),
+             (QuerySpec.median(), MechanismConfig("gdp", 1e-320, group_size=2), "Laplace scale"),
+             (QuerySpec.median(), MechanismConfig("dp_smooth", 1e-320, gamma=3.0), "scale"),
+             (QuerySpec.range_count(0.5, 1.0),
+              MechanismConfig("idp_local", 1e-17, noise_family="discrete_laplace"), "alpha"),
+             (hist, MechanismConfig("dp_global", 1e-16, noise_family="discrete_laplace"), "alpha")]
+    for q, cfg, refusal in cases:
+        with pytest.raises(PreconditionError, match=refusal):
+            calibrate(d, q, cfg)
+        ledger, rng = BudgetLedger(1.0), RandomSource(3)
+        with pytest.raises(PreconditionError, match=refusal):
+            answer(d, q, cfg, rng, ledger)
+        assert ledger.entries == () and ledger.spent() == 0.0, cfg
+        assert rng.uniforms() == RandomSource(3).uniforms(), cfg
 
 
 # dp_smooth noise at gamma = 1.01 overflows to -inf at these seeds on the

@@ -18,6 +18,7 @@ from privcurator import (
     smooth_sensitivity,
 )
 from privcurator import sensitivity
+from privcurator.dataset import SYNTH_DISTRIBUTIONS, synthesize_block
 from privcurator.queries import evaluate
 
 B01 = DomainBounds(0.0, 1.0)
@@ -362,22 +363,152 @@ def test_stacks_larger_than_one_gap_tensor_run_in_chunks(monkeypatch):
     block = _as_block(ds)
     q, beta = QuerySpec.median(), 0.2
     alone = [smooth_sensitivity(d, q, beta) for d in ds]
-    tensors = []
+    tensors, rows = [], []
     lag_maxima = sensitivity._lag_maxima
 
     def recording(W, h, ks, cap):
         if W.ndim == 2:
             tensors.append(W.shape[0] * ks.size * min(int(ks[-1]) + 2, cap))
+            rows.append(W.shape[0])
         return lag_maxima(W, h, ks, cap)
 
     monkeypatch.setattr(sensitivity, "_lag_maxima", recording)
     assert sensitivity.smooth_sensitivity_block(*block, q, beta).tolist() == alone
-    assert len(tensors) > 1 and max(tensors) <= sensitivity._GATHER_LIMIT
-    # a smaller limit cuts the same block into chunks of a few rows
-    tensors.clear()
-    monkeypatch.setattr(sensitivity, "_GATHER_LIMIT", 5000)
-    assert sensitivity.smooth_sensitivity_block(*block, q, beta).tolist() == alone
-    assert len(tensors) > 50 and max(tensors) <= 5000
+    # the screened a_k of all 400 rows fit in one gap tensor
+    assert rows == [400] and tensors[0] <= sensitivity._GATHER_LIMIT
+    # smaller limits cut the same block into more chunks of fewer rows
+    for limit, chunks in ((tensors[0] // 3, 3), (500, 50)):
+        tensors.clear()
+        rows.clear()
+        monkeypatch.setattr(sensitivity, "_GATHER_LIMIT", limit)
+        assert sensitivity.smooth_sensitivity_block(*block, q, beta).tolist() == alone
+        assert len(tensors) > chunks and max(tensors) <= limit and sum(rows) == 400
+
+
+def test_block_scan_equals_one_scan_per_row_on_the_default_plan(monkeypatch):
+    # every shape of the error grid's default plan: its distributions and
+    # sizes, beta = eps / gamma for its epsilons at gamma = 3, in blocks of 1,
+    # 10 and 63 rows (one trial, one request's cell, one chunk)
+    screened = []
+    lag_maxima = sensitivity._lag_maxima
+
+    def recording(W, h, ks, cap):
+        if W.ndim == 2:
+            screened.append(ks.size < h)  # the screen left fewer k than the block holds
+        return lag_maxima(W, h, ks, cap)
+
+    monkeypatch.setattr(sensitivity, "_lag_maxima", recording)
+    q = QuerySpec.median()
+    for dist in SYNTH_DISTRIBUTIONS:
+        for n in (9, 99, 999):
+            for count in (1, 10, 63):
+                block, lower, upper = synthesize_block(dist, n, n + count, count)
+                ds = [Dataset(row, DomainBounds(lo, hi)) for row, lo, hi in zip(block, lower, upper)]
+                for eps in (0.5, 0.75, 1.0):
+                    beta = eps / 3.0
+                    got = sensitivity.smooth_sensitivity_block(block, lower, upper, q, beta)
+                    assert got.tolist() == [smooth_sensitivity(d, q, beta) for d in ds], (dist, n, count, eps)
+    assert any(screened) and not all(screened)
+
+
+def _triage_rows(n, rng):
+    # rows of one size for each path of the block scan's triage, with their
+    # bounds: spread values; x~_r at min(Dom) next to a record at max(Dom), so
+    # a_0 is the whole span and the first block is short at any beta; a
+    # cluster 1e-90 apart, whose first block at beta = 3 ends in (64, 512];
+    # x~_r inside a run of ties; and the same spread values unbounded below
+    r = (n + 1) // 2
+    spread = rng.uniform(0.0, 1.0, n)
+    edges = np.array([0.0] * r + [1.0] * (n - r))
+    cluster = 1e-90 * np.arange(n)
+    ties = np.sort(rng.uniform(0.0, 1.0, n))
+    ties[n // 3 : n - n // 3] = 0.5
+    rows = [(spread, 0.0, 1.0), (edges, 0.0, 1.0), (cluster, 0.0, 1.0), (ties, 0.0, 1.0),
+            (spread, -math.inf, 1.0), (np.round(spread, 1), 0.0, 1.0)]
+    return [Dataset(v, DomainBounds(lo, hi)) for v, lo, hi in rows]
+
+
+def test_block_scan_equals_one_scan_per_row_on_every_triage_path(monkeypatch):
+    scans = []
+    scan = sensitivity._scan
+
+    def recording(v, lower, upper, r, beta, start, first, best, k0):
+        scans.append((start, k0))
+        return scan(v, lower, upper, r, beta, start, first, best, k0)
+
+    monkeypatch.setattr(sensitivity, "_scan", recording)
+    rng = np.random.default_rng(25)
+    order_qs = (QuerySpec.median(), QuerySpec.maximum(), QuerySpec.second_maximum())
+    for n in (9, 99, 999):
+        ds = _triage_rows(n, rng)
+        # the cluster's first block ends in (64, 512] at beta = 3
+        assert 64 < math.log(1.0 / 1e-90) / 3.0 + 2.0 <= 512
+        for perm in (np.arange(len(ds)), rng.permutation(len(ds))):
+            block = _as_block([ds[i] for i in perm])
+            for q in order_qs:
+                for beta in (1e-4, 3.0):
+                    want = [smooth_sensitivity(ds[i], q, beta) for i in perm]
+                    assert sensitivity.smooth_sensitivity_block(*block, q, beta).tolist() == want, (n, q, beta)
+                    assert want == [_ref_smooth(ds[i], q, beta) if ds[i].bounds.is_bounded else math.inf
+                                    for i in perm]
+    # rows scanned alone from k = 0 (a long first block) and from inside a
+    # run of ties, and lockstep rows that went on past the block's end (at
+    # n = 9 every first block ends by k = n + 1, so the cluster runs in lockstep)
+    assert (0, 0) in scans and any(0 < start == k0 for start, k0 in scans)
+    assert any(k0 > start == 0 for start, k0 in scans)
+
+
+def test_block_scan_keeps_the_largest_term_the_screen_finds():
+    # x~_r at min(Dom) with every record below it there too, and the records
+    # above growing geometrically: then a_k is the one-sided gap x~_{r+k+1} -
+    # x~_r, which is also the outer gap, so a k stays in the screen exactly
+    # when its term beats every term before it, and the largest term is the
+    # last k that stays. Ten such rows make the block's gap tensor large
+    # enough to be screened
+    rng = np.random.default_rng(31)
+    q = QuerySpec.median()
+    for n in (99, 999):
+        r = (n + 1) // 2
+        ds = []
+        for growth in np.linspace(1.5, 2.0, 10):  # above exp(beta), so terms grow
+            above = np.minimum(rng.uniform(5e-4, 2e-3) * growth ** np.arange(1, n - r + 1), 1.0)
+            ds.append(Dataset(np.concatenate((np.zeros(r), above)), B01))
+        for beta in (1 / 6, 0.25, 1 / 3):
+            want = [smooth_sensitivity(d, q, beta) for d in ds]
+            assert sensitivity.smooth_sensitivity_block(*_as_block(ds), q, beta).tolist() == want, (n, beta)
+            assert want == [_ref_smooth(d, q, beta) for d in ds]
+            assert all(w > d.values[r] for w, d in zip(want, ds))  # the best term is past k = 0
+
+
+def test_lockstep_decays_are_a_bounded_cache_of_read_only_math_exp_values():
+    decays = sensitivity._lockstep_decays
+    assert 0 < decays.cache_info().maxsize <= 1024
+    for beta in (1 / 6, 0.25, 1 / 3, 1e-4, 3.0, 0.1 / 3):
+        for k1 in (1, 2, 10, 64):
+            d, descending = decays(beta, k1)
+            assert d.tolist() == [math.exp(-beta * k) for k in range(k1)], (beta, k1)
+            assert descending == all(x >= y for x, y in zip(d.tolist(), d.tolist()[1:]))
+            assert not d.flags.writeable
+            with pytest.raises(ValueError):
+                d[0] = 0.5
+            assert decays(beta, k1)[0] is d
+    for i in range(2000):
+        decays(1e-3 * (i + 1), 3)
+    assert decays.cache_info().currsize <= decays.cache_info().maxsize
+
+
+def test_lockstep_folds_like_the_scan_when_decays_may_increase(monkeypatch):
+    # the lockstep's shortcut fold needs decays that never increase; flagged
+    # otherwise, its rows take _fold's running best and give the same floats
+    decays = sensitivity._lockstep_decays
+    monkeypatch.setattr(sensitivity, "_lockstep_decays", lambda beta, k1: (decays(beta, k1)[0], False))
+    rng = np.random.default_rng(41)
+    q = QuerySpec.median()
+    for n in (9, 99, 999):
+        ds = _mixed_stack(n, rng)
+        for beta in (1e-4, 1 / 6, 1 / 3, 3.0):
+            got = sensitivity.smooth_sensitivity_block(*_as_block(ds), q, beta)
+            assert got.tolist() == [smooth_sensitivity(d, q, beta) for d in ds], (n, beta)
 
 
 def test_smooth_sensitivities_keep_list_order_across_sizes_and_bounds():
