@@ -2,8 +2,9 @@
 
 tests/golden/outputs.json holds, as float hex, the rows of a small error
 grid, S(D) of the order statistics on mixed data shapes, seeded library
-answer() records over regime x query kind x noise family x epsilon, and the
-exact save_session text of three seeded ledgers. The test
+answer() records over regime x query kind x noise family x epsilon (gdp
+also at group sizes 51, 52 and 1000), the exact save_session text of three
+seeded ledgers, and the rows of the bench --verify battery. The test
 rebuilds every entry and compares it with the file: bit for bit when the
 installed numpy is the one that wrote the file (its header records the
 version), and within GOLDEN_ULPS units in the last place otherwise, since
@@ -39,6 +40,7 @@ from privcurator import (
     RandomSource,
     answer,
     run_error_grid,
+    run_verification,
     save_session,
     smooth_sensitivity,
 )
@@ -135,7 +137,22 @@ def build() -> dict[str, object]:
         for family in ("laplace", "discrete_laplace"):
             for regime, group in (("dp_global", None), ("idp_local", None), ("gdp", 3)):
                 configs.append(MechanismConfig(regime, eps, noise_family=family, group_size=group))
-    seed = 0
+    seed = _answer_entries(out, configs, 0)
+    # gdp on either side of ceil(n/2) = 51, where a count's ladder stops
+    # following i, and past n = 101, where every order statistic's rung is flat
+    _answer_entries(out, [MechanismConfig("gdp", 0.5, noise_family=family, group_size=g)
+                          for g in (51, 52, 1000) for family in ("laplace", "discrete_laplace")], seed)
+    for name, ledger in _sessions().items():
+        out[f"session/{name}"] = _session_text(ledger)
+    # the bench --verify rows, as dicts: a bare string would be read as float hex
+    for row in run_verification():
+        out[f"verify/{row['check']}"] = dict(row)
+    return out
+
+
+def _answer_entries(out: dict, configs, seed: int) -> int:
+    """Seeded answer() records of every answer query under each config on the
+    two n = 101 shapes, one seed each from seed on; returns the next seed."""
     for shape in ("uniform", "ties"):
         d = _shape(shape, 101)
         for cfg in configs:
@@ -146,9 +163,7 @@ def build() -> dict[str, object]:
                 name = "/".join(f"{k}={v}" for k, v in cfg.to_json_dict().items())
                 out[f"answer/{shape}/{q.to_string()}/{name}/seed={seed}"] = _guarded(record)
                 seed += 1
-    for name, ledger in _sessions().items():
-        out[f"session/{name}"] = _session_text(ledger)
-    return out
+    return seed
 
 
 def _ulps(a: float, b: float) -> float:
