@@ -157,10 +157,12 @@ def _cmd_bench(args) -> int:
     if args.out is None:
         raise ConfigError("--out FILE.csv is required")
 
+    # each table's default trials apply only when --trials is absent
+    trials = {} if args.trials is None else {"trials": args.trials}
     if args.table == "ci-table":
-        rows = run_ci_table(args.epsilon, args.sensitivity, args.trials or 1_000_000, args.seed)
+        rows = run_ci_table(args.epsilon, args.sensitivity, seed=args.seed, **trials)
     elif args.table == "error-grid":
-        plan = ExperimentPlan(trials=args.trials or 1000, gamma=args.gamma, seed=args.seed)
+        plan = ExperimentPlan(gamma=args.gamma, seed=args.seed, **trials)
         rows = run_error_grid(plan)
     else:
         rows = run_noise_profile(args.epsilon, args.sensitivity, default_profile_grid())

@@ -59,14 +59,13 @@ from .noise import (
     sample_discrete_laplace,
     sample_laplace,
 )
-from .queries import RANGE_COUNT, QuerySpec, _rank, evaluate
+from .queries import QuerySpec, _rank, evaluate
 from .sensitivity import (
     _around,
     _ladder_rank,
     _rung,
     global_sensitivity,
     group_local_sensitivity,
-    local_sensitivity,
     smooth_sensitivity,
     smooth_sensitivity_block,
 )
@@ -361,49 +360,48 @@ def calibrate(d: Dataset, q: QuerySpec, cfg: MechanismConfig) -> Calibration:
     Shared by answer() and by the ratio-verification oracle, which needs the
     mechanism fixed from the actual dataset before probing its neighbors.
 
+    A count moves by at most min(2, n_bins) whatever the data, so every
+    regime calibrates it to that constant (gdp's max_i ladder_i / i is that,
+    at i = 1); only the family differs, admissible under dp_smooth.
+
     The costly inputs are pure functions of the dataset and the public query,
     so they are memoized on the dataset (see Dataset): histogram counts, kept
-    as a read-only array; dp_smooth's S(D) of median, max and max2 per beta;
-    and the gdp scale per query and group size, except for range counts,
-    whose keys are unbounded and whose ladder is cheap. The memo holds at
-    most 128 entries per dataset, oldest evicted first. It keeps S(D) in the
-    curator's memory only: S(D) is never published, pickled or written to a
-    session. A hit only skips recomputation: the calibration is the same, and
-    answer() still charges the ledger and draws fresh noise on every release.
-    A hit versus a miss shows only whether this query, at this beta or group
-    size, was asked of this dataset before. A dataset must not be mutated.
+    as a read-only array, plus S(D) of median, max and max2 per beta and their
+    gdp scale per group size; counts need no memo for their sensitivity. The
+    memo holds at most 128 entries per dataset, oldest evicted first. It keeps
+    S(D) in the curator's memory only: S(D) is never published, pickled or
+    written to a session. A hit only skips recomputation: the calibration is
+    the same, and answer() still charges the ledger and draws fresh noise on
+    every release. A hit versus a miss shows only whether this query, at this
+    beta or group size, was asked of this dataset before. A dataset must not
+    be mutated.
     """
-    family = cfg.noise_family
-    if cfg.regime in ("idp_local", "dp_smooth") and not q.integer_valued:
-        v = d.values
-        r = _rank(q, v.size)  # evaluate's precondition
-        if cfg.regime == "idp_local":
-            _ladder_rank(q, v.size)  # the local sensitivity's
-            below, x, above = _around(v, d.bounds.lower, d.bounds.upper, r)
-            return _calibration(x, _rung(x, above, below), family, q, cfg)
+    family = cfg.noise_family or "admissible"  # dp_smooth has no other
+    if q.integer_valued:
+        if q.vector_valued:
+            value = _memoized(d, ("value", q), lambda: _read_only(evaluate(d, q)))
+        else:
+            value = evaluate(d, q)
+        return _calibration(value, global_sensitivity(q, d.bounds, d.n), family, q, cfg)
+    v = d.values
+    r = _rank(q, v.size)  # evaluate's precondition
+    x = float(v[r - 1])
+    if cfg.regime == "dp_global":
+        sens = global_sensitivity(q, d.bounds, d.n)
+    elif cfg.regime == "dp_smooth":
         beta = cfg.epsilon / cfg.gamma
         if d.bounds.is_bounded:
             sens = _memoized(d, ("smooth", q, beta), lambda: smooth_sensitivity(d, q, beta))
         else:
             sens = smooth_sensitivity(d, q, beta)  # raises for a bad beta, else inf
-        return _calibration(float(v[r - 1]), sens, "admissible", q, cfg)
-    if q.vector_valued:
-        value = _memoized(d, ("value", q), lambda: _read_only(evaluate(d, q)))
-    else:
-        value = evaluate(d, q)
-    if cfg.regime == "dp_global":
-        sens = global_sensitivity(q, d.bounds, d.n)
     elif cfg.regime == "idp_local":
-        sens = local_sensitivity(d, q)
-    elif cfg.regime == "gdp":
+        _ladder_rank(q, v.size)  # the local sensitivity's
+        below, _, above = _around(v, d.bounds.lower, d.bounds.upper, r)
+        sens = _rung(x, above, below)
+    else:
         g = cfg.group_size
-        if q.kind == RANGE_COUNT:
-            sens = _group_scale(d, q, g)
-        else:
-            sens = _memoized(d, ("gdp", q, g), lambda: _group_scale(d, q, g))
-    else:  # dp_smooth of a count: a constant, whatever the data
-        sens, family = smooth_sensitivity(d, q, cfg.epsilon / cfg.gamma), "admissible"
-    return _calibration(value, sens, family, q, cfg)
+        sens = _memoized(d, ("gdp", q, g), lambda: _group_scale(d, q, g))
+    return _calibration(x, sens, family, q, cfg)
 
 
 def calibrate_block(block: np.ndarray, lower: np.ndarray, upper: np.ndarray, q: QuerySpec,
@@ -426,31 +424,32 @@ def calibrate_block(block: np.ndarray, lower: np.ndarray, upper: np.ndarray, q: 
     if T < 1:
         raise PreconditionError("a block needs at least one dataset")
     r = _rank(q, n)  # evaluate's precondition
+    family, eps, gamma = cfg.noise_family or "admissible", cfg.epsilon, cfg.gamma
     if cfg.regime == "idp_local":
         _ladder_rank(q, n)  # the local sensitivity's
         below, x, above = _around(block, lower, upper, r)
-        sens, family = _rung(x, above, below), cfg.noise_family
+        sens = _rung(x, above, below)
     else:
-        sens = smooth_sensitivity_block(block, lower, upper, q, cfg.epsilon / cfg.gamma)
-        x, family = block[:, r - 1], "admissible"
+        sens = smooth_sensitivity_block(block, lower, upper, q, eps / gamma)
+        x = block[:, r - 1]
     if family == "discrete_laplace":
         _calibration(float(x[0]), float(sens[0]), family, q, cfg)  # raises for dataset 0
     # _scale is monotone in sens, so these are the extremes of the scale column;
     # an infinite sensitivity gives an infinite scale
     lo, hi = float(np.minimum.reduce(sens)), float(np.maximum.reduce(sens))
-    if 0.0 < _scale(family, lo, cfg) <= _scale(family, hi, cfg) < math.inf:
-        scale = _scale(family, sens, cfg)
+    if 0.0 < _scale(family, lo, eps, gamma) <= _scale(family, hi, eps, gamma) < math.inf:
+        scale = _scale(family, sens, eps, gamma)
     else:
         # an exact row (sensitivity 0, scale 0) passes; every other row's scale
         # must be positive and finite, as the Laplace and admissible checks ask
         with np.errstate(over="ignore"):
-            scale = _scale(family, sens, cfg)
+            scale = _scale(family, sens, eps, gamma)
         refused = (sens != 0.0) & ~((scale > 0.0) & (scale < math.inf))
         if refused.any():
             i = int(refused.argmax())
             _calibration(float(x[i]), float(sens[i]), family, q, cfg)  # raises for dataset i
     # a copy of the values, so that the calibration does not keep the block alive
-    return Calibration(x.copy(), family, sens, scale, cfg.gamma)
+    return Calibration(x.copy(), family, sens, scale, gamma)
 
 
 def _calibration(value, sens: float, family: str, q: QuerySpec, cfg: MechanismConfig) -> Calibration:
@@ -466,19 +465,19 @@ def _calibration(value, sens: float, family: str, q: QuerySpec, cfg: MechanismCo
         )
     if sens == 0.0:
         return Calibration(value, "exact", 0.0, 0.0)
-    param = _scale(family, sens, cfg)
+    param = _scale(family, sens, cfg.epsilon, cfg.gamma)
     _PARAM_CHECKS[family](param)  # before answer() charges the ledger
     return Calibration(value, family, sens, param, cfg.gamma)
 
 
-def _scale(family: str, sens, cfg: MechanismConfig):
-    # the noise parameter of a family at sensitivity sens, a float or (for
-    # laplace and admissible) a column of them: 0 where sens is 0
+def _scale(family: str, sens, epsilon: float, gamma: float | None = None):
+    # a family's noise parameter at sensitivity sens, a float or (for laplace
+    # and admissible) a column of them, 0 where sens is 0
     if family == "laplace":
-        return sens / cfg.epsilon
+        return sens / epsilon
     if family == "discrete_laplace":
-        return math.exp(-cfg.epsilon / sens)
-    return 4.0 * cfg.gamma * sens / cfg.epsilon
+        return math.exp(-epsilon / sens)
+    return 4.0 * gamma * sens / epsilon
 
 
 # Entries per dataset memo. A curator answering a fixed set of standard
@@ -511,8 +510,9 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
 
 def _group_scale(d: Dataset, q: QuerySpec, g: int) -> float:
-    # smallest scale meeting every distance-i constraint of the linear schedule
-    return max(b / i for i, b in enumerate(group_local_sensitivity(d, q, g), start=1))
+    # smallest scale meeting every distance-i constraint of the linear schedule;
+    # from i = n on x~_{r+i} and x~_{r-i} are clamped, so rung / i only falls
+    return max(b / i for i, b in enumerate(group_local_sensitivity(d, q, min(g, d.n)), start=1))
 
 
 def answer(
@@ -553,25 +553,32 @@ def answer(
 def release(cal: Calibration, rng: RandomSource):
     """The published value of a calibration, from one sampler call.
 
+    Laplace and admissible noise, lone or block, is one unit-scale draw times
+    the scale: both samplers end in scale * (unit draw), so the product is bit
+    for bit the draw at that scale. Discrete Laplace is drawn at its own
+    alpha, lone only. Every scale or alpha passes its parameter check first.
+
     A lone calibration (see calibrate) publishes a number, or a list for a
-    histogram, drawn at its own parameters, with size None for a scalar, so
-    answer() does no array work; an exact one draws nothing. A block
-    calibration (see calibrate_block) publishes a list of one value per row,
-    in row order: a row of sensitivity 0 publishes its value and draws
-    nothing, and the other rows share one draw of unit-scale noise, element i
-    multiplied by its row's scale. Both samplers a block can hold (Laplace
-    and admissible) end in scale * (unit draw), so the product is bit for bit
-    the draw at that scale. Every row's scale passes its sampler's parameter
-    check. A size-k Laplace draw is also the stream that k lone releases
-    consume; the admissible sampler lays a size-k draw out in blocks instead,
-    so the same stream gives other, identically distributed, values.
+    histogram, with size None for a scalar, so answer() does no array work;
+    an exact one draws nothing. A block calibration (see calibrate_block)
+    publishes a list of one value per row, in row order: a row of
+    sensitivity 0 publishes its value and draws nothing, and the other rows
+    share one unit draw, element i times its row's scale. A size-k Laplace
+    draw is also the stream that k lone releases consume; the admissible
+    sampler lays a size-k draw out in blocks instead, so the same stream
+    gives other, identically distributed, values.
 
     A noisy value that is not finite is refused with ConfigError (see answer).
     """
+    check = _PARAM_CHECKS.get(cal.family)  # None for an exact calibration
     if not isinstance(cal.sensitivity_used, np.ndarray):
-        if cal.family == "exact":
-            return _published(cal.value)
-        return _add_noise(cal.value, _noise_params(cal.family, cal.param, cal.gamma), rng)
+        if check is None:  # only an order statistic can be exact: a float
+            return cal.value
+        check(cal.param)
+        return _add_noise(cal.value, cal.family, cal.param, cal.gamma, rng)
+    if cal.family == "discrete_laplace":
+        raise PreconditionError("discrete Laplace is drawn at its own alpha, one dataset at a time; "
+                                "a block of it is refused")
     noisy = cal.sensitivity_used != 0.0
     every = noisy.all()
     if not (every or noisy.any()):
@@ -579,10 +586,9 @@ def release(cal: Calibration, rng: RandomSource):
     values, scales = (cal.value, cal.param) if every else (cal.value[noisy], cal.param[noisy])
     # Each check accepts an interval of scales, so all pass once the extremes
     # do; min and max propagate a NaN.
-    check = _PARAM_CHECKS[cal.family]
     check(float(np.minimum.reduce(scales)))
     check(float(np.maximum.reduce(scales)))
-    flat = _add_noise(values, _unit_params(cal.family, cal.gamma), rng, scales)
+    flat = _add_noise(values, cal.family, scales, cal.gamma, rng)
     if every:
         return flat
     out = cal.value.tolist()
@@ -591,17 +597,20 @@ def release(cal: Calibration, rng: RandomSource):
     return out
 
 
-def _add_noise(value, params, rng: RandomSource, scales=None):
-    """value plus one draw at params (times scales, elementwise), as published."""
+def _add_noise(value, family: str, param, gamma: float | None, rng: RandomSource):
+    """value plus one draw at the checked param, as published.
+
+    param is the discrete alpha, or a scale (a float, or one per element of
+    value) that multiplies a unit draw; a scalar draw takes it as a Python
+    float, so that a float32 scale multiplies in float64, as in the samplers.
+    """
     size = value.size if isinstance(value, np.ndarray) else None
-    if type(params) is LaplaceParams:
-        noise = sample_laplace(params, rng, size)
-    elif type(params) is DiscreteLaplaceParams:
-        noise = sample_discrete_laplace(params, rng, size)
+    if family == "discrete_laplace":
+        noise = sample_discrete_laplace(DiscreteLaplaceParams(param), rng, size)
     else:
-        noise = sample_admissible(params, rng, size)
-    if scales is not None:
-        noise = noise * scales
+        unit = (sample_laplace(_UNIT_LAPLACE, rng, size) if family == "laplace"
+                else sample_admissible(_unit_admissible(gamma), rng, size))
+        noise = unit * (float(param) if size is None else param)
 
     noisy = value + noise
     if size is None:
@@ -616,28 +625,19 @@ def _add_noise(value, params, rng: RandomSource, scales=None):
     return noisy.tolist()  # int64 counts stay ints under discrete noise
 
 
-def _noise_params(family: str, param: float, gamma: float | None):
-    if family == "laplace":
-        return LaplaceParams(0.0, param)
-    if family == "discrete_laplace":
-        return DiscreteLaplaceParams(param)
-    return AdmissibleNoiseParams(gamma, param)
-
-
-# The check _noise_params' object makes of each family's noise parameter,
-# run on its own by the calibrations and by a block release
+# The check each family's parameter object makes of its noise parameter,
+# run on its own by the calibrations and by release
 _PARAM_CHECKS = {
     "laplace": _check_laplace_scale,
     "discrete_laplace": _check_alpha,
     "admissible": _check_admissible_scale,
 }
 
-
-@functools.lru_cache(maxsize=16)
-def _unit_params(family: str, gamma: float | None):
-    # a block release's unit-scale noise parameters; frozen, so shared
-    return _noise_params(family, 1.0, gamma)
+# unit-scale noise parameters; frozen, so shared
+_UNIT_LAPLACE = LaplaceParams(0.0, 1.0)
 
 
-def _published(value):
-    return value.tolist() if isinstance(value, np.ndarray) else value
+@functools.lru_cache(maxsize=16, typed=True)  # typed: a float32 gamma draws in float32
+def _unit_admissible(gamma: float) -> AdmissibleNoiseParams:
+    return AdmissibleNoiseParams(gamma, 1.0)
+

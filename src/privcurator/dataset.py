@@ -100,15 +100,15 @@ class Dataset:
 
     A Dataset must not be mutated: every calibration input is a function of
     the values and bounds it was built with. curator.calibrate memoizes the
-    costly ones in a private per-dataset dict (histogram counts, the smooth
-    sensitivity S(D) of median, max and max2 per beta, and the gdp scale per
-    query and group size), at most 128 entries, oldest evicted first. The memo
-    lives in the curator's memory only and dies with the dataset: it is not a
-    field, so eq and repr ignore it, and pickle or copy rebuild the dataset
-    through the constructor with an empty memo, so S(D) is never published,
-    pickled or written to a session. Whether a release hits the memo shows
-    only whether the same query, at the same beta or group size, was asked of
-    this dataset before.
+    costly ones in a private per-dataset dict (histogram counts, plus the
+    smooth sensitivity S(D) of median, max and max2 per beta and their gdp
+    scale per group size; counts need no memo for their sensitivity), at
+    most 128 entries, oldest evicted first. The memo lives in the curator's
+    memory only and dies with the dataset: it is not a field, so eq and repr
+    ignore it, and pickle or copy rebuild the dataset through the constructor
+    with an empty memo, so S(D) is never published, pickled or written to a
+    session. Whether a release hits the memo shows only whether the same
+    query, at the same beta or group size, was asked of this dataset before.
     """
 
     values: np.ndarray

@@ -236,13 +236,9 @@ def smooth_sensitivity_block(block: np.ndarray, lower: np.ndarray, upper: np.nda
     rows = lock.nonzero()[0]
     out = np.empty(len(block))
     for i in (~lock).nonzero()[0].tolist():
-        span, first, lo, hi = float(spans[i]), float(firsts[i]), float(lower[i]), float(upper[i])
-        if not math.isfinite(span):
-            out[i] = math.inf
-        elif first == 0.0:
-            out[i] = _smooth_rank(block[i], lo, hi, r, beta)
-        else:
-            out[i] = _scan(block[i], lo, hi, r, beta, 0, first, 0.0, 0)
+        # the lone scan; inf for an unbounded row (or one whose span overflows)
+        finite = math.isfinite(spans[i])
+        out[i] = _smooth_rank(block[i], float(lower[i]), float(upper[i]), r, beta) if finite else math.inf
     if rows.size:
         out[rows] = _lockstep(block[rows], lower[rows], upper[rows], spans[rows], firsts[rows], r, beta)
     return out

@@ -279,6 +279,15 @@ def test_bench_error_grid_writes_reproducible_csv(tmp_path, capsys):
         [(r["distribution"], r["n"], r["regime"]) for r in rows]
 
 
+def test_bench_tables_refuse_zero_trials(tmp_path, capsys):
+    # --trials 0 is a count of trials, not a request for the default
+    for table, word in (("error-grid", "trials"), ("ci-table", "trials")):
+        out = tmp_path / f"{table}.csv"
+        assert main(["bench", table, "--trials", "0", "--out", str(out)]) == 1
+        _one_error_line(capsys, word)
+        assert not out.exists()
+
+
 def test_bench_verify_battery(capsys):
     rc = main(["bench", "--verify"])
     assert rc == 0

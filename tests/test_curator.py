@@ -36,7 +36,7 @@ from privcurator import (
 from privcurator import curator, sensitivity
 from privcurator.dataset import SYNTH_DISTRIBUTIONS, synthesize_block
 from privcurator.errors import CuratorError
-from privcurator.noise import AdmissibleNoiseParams, sample_admissible
+from privcurator.noise import AdmissibleNoiseParams, LaplaceParams, sample_admissible, sample_laplace
 
 B01 = DomainBounds(0.0, 1.0)
 
@@ -163,6 +163,53 @@ def test_calibrate_group_schedule():
     cal = calibrate(d, QuerySpec.median(), MechanismConfig("gdp", 0.5, group_size=2))
     assert cal.sensitivity_used == pytest.approx(0.5)
     assert cal.param == pytest.approx(1.0)
+
+
+def test_counts_calibrate_to_one_constant_in_every_regime():
+    # a count moves by at most min(2, n_bins) whatever the data, so every
+    # regime calibrates it to that; gdp's max_i ladder_i / i is the same float
+    queries = [QuerySpec.range_count(0.2, 0.6), QuerySpec.range_count(2.0, 3.0),
+               QuerySpec.range_count(-1.0, 2.0), QuerySpec.histogram([0.3, 0.6]),
+               QuerySpec.histogram([0.0, 0.5, 1.0]), QuerySpec.histogram(np.linspace(0.25, 0.75, 11))]
+    rng = np.random.default_rng(21)
+    for n in (1, 2, 3, 5, 1001):
+        d = Dataset(rng.uniform(-1.0, 2.0, n), DomainBounds(-1.0, 2.0))  # some records outside every bin
+        half = (n + 1) // 2
+        configs = [MechanismConfig("dp_smooth", e, gamma=g) for e, g in ((0.5, 3.0), (1.0, 2.0))]
+        for family in ("laplace", "discrete_laplace"):
+            configs += [MechanismConfig(r, 0.5, noise_family=family) for r in ("dp_global", "idp_local")]
+            configs += [MechanismConfig("gdp", 0.5, noise_family=family, group_size=g)
+                        for g in (1, half, half + 1, n + 5)]
+        for q in queries:
+            constant = float(min(2, q.n_bins))
+            for cfg in configs:
+                cal = calibrate(d, q, cfg)
+                assert cal.sensitivity_used == constant, (n, q, cfg)
+                assert cal.family == (cfg.noise_family or "admissible"), (n, q, cfg)
+                if cfg.regime == "gdp":
+                    ladder = sensitivity.group_local_sensitivity(d, q, cfg.group_size)
+                    assert max(b / i for i, b in enumerate(ladder, start=1)) == constant, (n, q, cfg)
+
+
+def test_gdp_calibration_reads_no_rung_past_n(monkeypatch):
+    # past n every rung is flat, so a group of 10**9 calibrates as a group of
+    # n does, without building the other rungs
+    ladder = curator.group_local_sensitivity
+
+    def bounded(d, q, g):
+        if g > d.n:
+            raise AssertionError(f"asked for {g} rungs of a dataset of {d.n}")
+        return ladder(d, q, g)
+
+    monkeypatch.setattr(curator, "group_local_sensitivity", bounded)
+    d = _d([0.1, 0.3, 0.35, 0.8, 0.9])
+    for q in (QuerySpec.median(), QuerySpec.maximum(), QuerySpec.second_maximum(),
+              QuerySpec.range_count(0.2, 0.6), QuerySpec.histogram([0.0, 0.5, 1.0])):
+        for family in ("laplace", "discrete_laplace") if q.integer_valued else ("laplace",):
+            big = calibrate(_d(d.values), q, MechanismConfig("gdp", 0.5, noise_family=family, group_size=10**9))
+            small = calibrate(d, q, MechanismConfig("gdp", 0.5, noise_family=family, group_size=d.n))
+            assert (big.family, big.sensitivity_used, big.param) == \
+                (small.family, small.sensitivity_used, small.param), q
 
 
 def test_calibrate_smooth_scale():
@@ -606,6 +653,22 @@ def _laplace_and_admissible_blocks():
         yield cal
 
 
+def test_a_float32_epsilon_draws_what_the_sampler_draws_at_its_scale():
+    # a float32 epsilon or gamma gives a float32 scale; the unit draw times
+    # that scale is still the sampler's own draw at it, computed in float64
+    d = _d([0.1, 0.4, 0.5, 0.8, 0.9])
+    q = QuerySpec.median()
+    for cfg in (MechanismConfig("idp_local", np.float32(0.7)),
+                MechanismConfig("dp_smooth", 0.7, gamma=3.0),  # caches gamma 3.0 first
+                MechanismConfig("dp_smooth", np.float32(0.7), gamma=np.float32(3.0))):
+        cal = calibrate(d, q, cfg)
+        if cal.family == "laplace":
+            noise = sample_laplace(LaplaceParams(0.0, cal.param), RandomSource(4))
+        else:
+            noise = sample_admissible(AdmissibleNoiseParams(cal.gamma, cal.param), RandomSource(4))
+        assert answer(d, q, cfg, RandomSource(4), _free_ledger()).value == cal.value + noise, cfg
+
+
 def test_release_of_a_block_draws_one_unit_draw_scaled_per_row():
     lap, smooth = _laplace_and_admissible_blocks()
     assert lap.family == "laplace" and len(set(lap.param.tolist())) > 1
@@ -640,8 +703,8 @@ def test_release_refuses_a_bad_scale_and_a_discrete_block():
                 curator.release(bad, RandomSource(0))
             with pytest.raises(PreconditionError, match="scale"):
                 curator.release(_row_calibration(bad, 5), RandomSource(0))
-    # calibrate_block refuses discrete Laplace, and a block built by hand
-    # fails on its unit-scale draw
+    # calibrate_block refuses discrete Laplace, and release refuses a block
+    # of it built by hand, by name: each row would need its own alpha
     block, lower, upper = synthesize_block("uniform01", 9, 5, 2)
     with pytest.raises(ConfigError, match="discrete_laplace"):
         curator.calibrate_block(block, lower, upper, QuerySpec.median(),
