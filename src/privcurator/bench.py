@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .curator import BudgetLedger, Calibration, MechanismConfig, _scale, answer, calibrate_block, release
+from .curator import _FAMILIES, BudgetLedger, Calibration, MechanismConfig, answer, calibrate_block, release
 from .dataset import SYNTH_DISTRIBUTIONS, Dataset, DomainBounds, synthesize_block
 from .errors import BudgetExceededError, PreconditionError
 from .noise import (
@@ -120,7 +120,7 @@ def run_ci_table(epsilon: float, sensitivity: float, trials: int = 1_000_000, se
 
     Laplace at scale sensitivity/epsilon, and the admissible family at
     gamma = 2 (scale 8 sensitivity/epsilon) and gamma = 3 (scale
-    12 sensitivity/epsilon), the scales curator._scale calibrates.
+    12 sensitivity/epsilon), the scales of the curator's family rows.
     """
     if not epsilon > 0:
         raise PreconditionError(f"epsilon must be positive, got {epsilon}")
@@ -130,10 +130,10 @@ def run_ci_table(epsilon: float, sensitivity: float, trials: int = 1_000_000, se
         raise PreconditionError(f"interval estimation needs >= 1e5 trials, got {trials}")
 
     lap_rng, g2_rng, g3_rng = RandomSource(seed).spawn(3)
-    lap = LaplaceParams(0.0, _scale("laplace", sensitivity, epsilon))
+    lap = LaplaceParams(0.0, _FAMILIES["laplace"].scale(sensitivity, epsilon, None))
     rows = [_ci_row("laplace", sample_laplace(lap, lap_rng, trials))]
     for gamma, rng in ((2.0, g2_rng), (3.0, g3_rng)):
-        params = AdmissibleNoiseParams(gamma, _scale("admissible", sensitivity, epsilon, gamma))
+        params = AdmissibleNoiseParams(gamma, _FAMILIES["admissible"].scale(sensitivity, epsilon, gamma))
         rows.append(_ci_row(f"admissible_gamma{int(gamma)}", sample_admissible(params, rng, trials)))
     return rows
 
@@ -243,8 +243,8 @@ def run_noise_profile(epsilon: float, sensitivity: float, grid) -> list[dict]:
     if xs.ndim != 1 or xs.size < 2:
         raise PreconditionError("grid must be a 1-d sequence with at least 2 points")
 
-    lap = laplace_pdf(xs, LaplaceParams(0.0, _scale("laplace", sensitivity, epsilon)))
-    scale2, scale3 = (_scale("admissible", sensitivity, epsilon, gamma) for gamma in (2.0, 3.0))
+    lap = laplace_pdf(xs, LaplaceParams(0.0, _FAMILIES["laplace"].scale(sensitivity, epsilon, None)))
+    scale2, scale3 = (_FAMILIES["admissible"].scale(sensitivity, epsilon, gamma) for gamma in (2.0, 3.0))
     g2 = admissible_pdf(xs / scale2, 2.0) / scale2
     g3 = admissible_pdf(xs / scale3, 3.0) / scale3
     return [

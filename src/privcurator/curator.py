@@ -22,7 +22,8 @@ answer there is nothing to hide.
 
 calibrate() fixes one dataset's noise plan and calibrate_block() a block of
 datasets' plans as columns; release() is the one path from either to the
-published values, and answer() charges the ledger between the two.
+published values, and answer() charges the ledger between the two. What
+differs by regime or by noise family is one row of _REGIMES or _FAMILIES.
 """
 
 from __future__ import annotations
@@ -33,9 +34,12 @@ import math
 import numbers
 import operator
 import os
+import sys
 import threading
 from dataclasses import dataclass
 from pathlib import Path
+from types import MappingProxyType
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -52,9 +56,8 @@ from .noise import (
     LaplaceParams,
     AdmissibleNoiseParams,
     RandomSource,
-    _check_admissible_scale,
     _check_alpha,
-    _check_laplace_scale,
+    _check_scale,
     sample_admissible,
     sample_discrete_laplace,
     sample_laplace,
@@ -70,9 +73,6 @@ from .sensitivity import (
     smooth_sensitivity_block,
 )
 
-REGIMES = ("dp_global", "dp_smooth", "idp_local", "gdp")
-NOISE_FAMILIES = ("laplace", "discrete_laplace")
-
 
 @dataclass(frozen=True)
 class MechanismConfig:
@@ -86,48 +86,35 @@ class MechanismConfig:
     group_size: int | None = None
 
     def __post_init__(self) -> None:
-        if self.regime not in REGIMES:
-            raise ConfigError(f"unknown regime {self.regime!r}; choose one of {REGIMES}")
-        for name in ("epsilon", "gamma", "group_size"):
-            if isinstance(getattr(self, name), (bool, np.bool_)):
-                raise ConfigError(f"{name} must be a number, not a bool")
-        if not isinstance(self.epsilon, numbers.Real):
+        row = _REGIMES.get(self.regime) if isinstance(self.regime, str) else None
+        if row is None:
+            raise ConfigError(f"unknown regime {self.regime!r}; choose one of {tuple(_REGIMES)}")
+        if type(self.epsilon) is bool or not isinstance(self.epsilon, numbers.Real):
             raise ConfigError(f"epsilon must be a real number, got {self.epsilon!r}")
-        if self.gamma is not None and not isinstance(self.gamma, numbers.Real):
-            raise ConfigError(f"gamma must be a real number, got {self.gamma!r}")
         if not (self.epsilon > 0 and math.isfinite(self.epsilon)):
             raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
-        if self.regime == "dp_smooth":
-            if self.gamma is None or not (self.gamma > 1.0 and math.isfinite(self.gamma)):
-                raise ConfigError(f"dp_smooth needs a finite gamma > 1, got {self.gamma}")
+        for regime, other in _REGIMES.items():  # each own field is checked by its row only
+            if other.own is not None:
+                name, check = other.own
+                if regime == self.regime:
+                    object.__setattr__(self, name, check(getattr(self, name)))
+                elif getattr(self, name) is not None:
+                    raise ConfigError(f"{name} applies to {regime} only, not {self.regime}")
+        if row.family is not None:
             if self.noise_family is not None:
-                raise ConfigError("dp_smooth always uses the admissible noise family")
-        else:
-            if self.gamma is not None:
-                raise ConfigError(f"gamma applies to dp_smooth only, not {self.regime}")
-            family = self.noise_family if self.noise_family is not None else "laplace"
-            if family not in NOISE_FAMILIES:
-                raise ConfigError(f"unknown noise family {self.noise_family!r}")
-            object.__setattr__(self, "noise_family", family)
-        if self.regime == "gdp":
-            try:
-                g = operator.index(self.group_size)
-            except TypeError:
-                g = 0
-            if g < 1:
-                raise ConfigError(f"gdp needs an integer group_size >= 1, got {self.group_size!r}")
-            object.__setattr__(self, "group_size", g)
-        elif self.group_size is not None:
-            raise ConfigError(f"group_size applies to gdp only, not {self.regime}")
+                raise ConfigError(f"{self.regime} always uses the {row.family} noise family")
+        elif self.noise_family is None:
+            object.__setattr__(self, "noise_family", _CONFIG_FAMILIES[0])
+        elif self.noise_family not in _CONFIG_FAMILIES:
+            raise ConfigError(f"unknown noise family {self.noise_family!r}")
 
     def to_json_dict(self) -> dict:
         out = {"regime": self.regime, "epsilon": self.epsilon}
-        if self.gamma is not None:
-            out["gamma"] = self.gamma
         if self.noise_family is not None:
             out["noise"] = self.noise_family
-        if self.group_size is not None:
-            out["group_size"] = self.group_size
+        own = _REGIMES[self.regime].own
+        if own is not None:
+            out[own[0]] = getattr(self, own[0])
         return out
 
 
@@ -151,7 +138,7 @@ class NoisyAnswer:
     def to_json_dict(self) -> dict:
         out = {"value": self.value, "query": self.query.to_string()}
         out.update(self.mechanism.to_json_dict())
-        if self.mechanism.regime != "dp_smooth":
+        if _REGIMES[self.mechanism.regime].publishes:
             out["sensitivity_used"] = self.sensitivity_used
             out["noise_scale"] = self.noise_scale
         return out
@@ -240,6 +227,14 @@ class BudgetLedger:
         )
 
 
+def _json_number(value, name: str) -> float:
+    # an int or a float as json.loads parses it, never a bool (an int to
+    # isinstance), a string, or an int past the float range
+    if type(value) is float or type(value) is int and abs(value) <= sys.float_info.max:
+        return float(value)
+    raise TypeError(f"{name} must be a JSON number in the float range, got {value!r}")
+
+
 def _checked_entries(entries) -> list[LedgerEntry]:
     """Entries with a str query and a positive, finite float epsilon.
 
@@ -307,19 +302,28 @@ def save_session(ledger: BudgetLedger, path: str | Path) -> None:
 
 
 def load_session(path: str | Path) -> BudgetLedger:
+    """The ledger of a session file. Each field must have the JSON type
+    save_session writes; a bool, a numeric string or a number for a query is
+    refused with a SessionError naming the field, never coerced."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
         raise SessionError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise SessionError(f"{path}: malformed session document: not a JSON object")
-    if doc.get("version") != 1:
+    if type(doc.get("version")) is not int or doc["version"] != 1:
         raise SessionError(f"{path}: unsupported session version {doc.get('version')!r}")
     try:
-        total = float(doc["total_budget"])
-        entries = [LedgerEntry(str(e["query"]), float(e["epsilon"]))
-                   for e in doc.get("entries", [])]
-    except (KeyError, TypeError, ValueError) as exc:
+        total = _json_number(doc["total_budget"], "total_budget")
+        listed = doc.get("entries", [])
+        if type(listed) is not list:
+            raise TypeError(f"entries must be a JSON array, got {listed!r}")
+        entries = []
+        for e in listed:
+            if type(e["query"]) is not str:
+                raise TypeError(f"query must be a JSON string, got {e['query']!r}")
+            entries.append(LedgerEntry(e["query"], _json_number(e["epsilon"], "epsilon")))
+    except (KeyError, TypeError) as exc:
         raise SessionError(f"{path}: malformed session document: {exc}") from exc
     try:
         return BudgetLedger(total, entries)
@@ -376,7 +380,8 @@ def calibrate(d: Dataset, q: QuerySpec, cfg: MechanismConfig) -> Calibration:
     beta or group size, was asked of this dataset before. A dataset must not
     be mutated.
     """
-    family = cfg.noise_family or "admissible"  # dp_smooth has no other
+    row = _REGIMES[cfg.regime]
+    family = row.family or cfg.noise_family
     if q.integer_valued:
         if q.vector_valued:
             value = _memoized(d, ("value", q), lambda: _read_only(evaluate(d, q)))
@@ -386,22 +391,7 @@ def calibrate(d: Dataset, q: QuerySpec, cfg: MechanismConfig) -> Calibration:
     v = d.values
     r = _rank(q, v.size)  # evaluate's precondition
     x = float(v[r - 1])
-    if cfg.regime == "dp_global":
-        sens = global_sensitivity(q, d.bounds, d.n)
-    elif cfg.regime == "dp_smooth":
-        beta = cfg.epsilon / cfg.gamma
-        if d.bounds.is_bounded:
-            sens = _memoized(d, ("smooth", q, beta), lambda: smooth_sensitivity(d, q, beta))
-        else:
-            sens = smooth_sensitivity(d, q, beta)  # raises for a bad beta, else inf
-    elif cfg.regime == "idp_local":
-        _ladder_rank(q, v.size)  # the local sensitivity's
-        below, _, above = _around(v, d.bounds.lower, d.bounds.upper, r)
-        sens = _rung(x, above, below)
-    else:
-        g = cfg.group_size
-        sens = _memoized(d, ("gdp", q, g), lambda: _group_scale(d, q, g))
-    return _calibration(x, sens, family, q, cfg)
+    return _calibration(x, row.lone(d, q, cfg, r, x), family, q, cfg)
 
 
 def calibrate_block(block: np.ndarray, lower: np.ndarray, upper: np.ndarray, q: QuerySpec,
@@ -410,7 +400,8 @@ def calibrate_block(block: np.ndarray, lower: np.ndarray, upper: np.ndarray, q: 
 
     Row i of the (T, n) block holds the sorted values of dataset i, whose
     bounds are lower[i] and upper[i] (see dataset.synthesize_block); q is an
-    order statistic and cfg idp_local or dp_smooth. Entry i of each column
+    order statistic and cfg of a regime with a block row (idp_local or
+    dp_smooth), any other is refused with ConfigError. Entry i of each column
     is what calibrate() gives dataset i, and the first dataset calibrate()
     refuses raises what it raises; a block of no datasets is refused. The
     preconditions are checked once; x~_{r-1}, x~_r and x~_{r+1} are three
@@ -424,26 +415,24 @@ def calibrate_block(block: np.ndarray, lower: np.ndarray, upper: np.ndarray, q: 
     if T < 1:
         raise PreconditionError("a block needs at least one dataset")
     r = _rank(q, n)  # evaluate's precondition
-    family, eps, gamma = cfg.noise_family or "admissible", cfg.epsilon, cfg.gamma
-    if cfg.regime == "idp_local":
-        _ladder_rank(q, n)  # the local sensitivity's
-        below, x, above = _around(block, lower, upper, r)
-        sens = _rung(x, above, below)
-    else:
-        sens = smooth_sensitivity_block(block, lower, upper, q, eps / gamma)
-        x = block[:, r - 1]
-    if family == "discrete_laplace":
+    row = _REGIMES[cfg.regime]
+    if row.block is None:
+        raise ConfigError(f"{cfg.regime} has no block calibration")
+    family, eps, gamma = row.family or cfg.noise_family, cfg.epsilon, cfg.gamma
+    noise = _FAMILIES[family]
+    x, sens = row.block(block, lower, upper, q, cfg, r)
+    if noise.unit is None:
         _calibration(float(x[0]), float(sens[0]), family, q, cfg)  # raises for dataset 0
-    # _scale is monotone in sens, so these are the extremes of the scale column;
-    # an infinite sensitivity gives an infinite scale
+    # a scale is monotone in sens, so these are the extremes of the scale
+    # column; an infinite sensitivity gives an infinite scale
     lo, hi = float(np.minimum.reduce(sens)), float(np.maximum.reduce(sens))
-    if 0.0 < _scale(family, lo, eps, gamma) <= _scale(family, hi, eps, gamma) < math.inf:
-        scale = _scale(family, sens, eps, gamma)
+    if 0.0 < noise.scale(lo, eps, gamma) <= noise.scale(hi, eps, gamma) < math.inf:
+        scale = noise.scale(sens, eps, gamma)
     else:
         # an exact row (sensitivity 0, scale 0) passes; every other row's scale
         # must be positive and finite, as the Laplace and admissible checks ask
         with np.errstate(over="ignore"):
-            scale = _scale(family, sens, eps, gamma)
+            scale = noise.scale(sens, eps, gamma)
         refused = (sens != 0.0) & ~((scale > 0.0) & (scale < math.inf))
         if refused.any():
             i = int(refused.argmax())
@@ -459,25 +448,14 @@ def _calibration(value, sens: float, family: str, q: QuerySpec, cfg: MechanismCo
             f"{cfg.regime} needs a finite sensitivity for {q.to_string()}; "
             "declare finite domain bounds"
         )
-    if family == "discrete_laplace" and not q.integer_valued:
-        raise ConfigError(
-            f"discrete_laplace masks integer-valued queries only, not {q.to_string()}"
-        )
+    row = _FAMILIES[family]
+    if row.unit is None and not q.integer_valued:
+        raise ConfigError(f"{family} masks integer-valued queries only, not {q.to_string()}")
     if sens == 0.0:
         return Calibration(value, "exact", 0.0, 0.0)
-    param = _scale(family, sens, cfg.epsilon, cfg.gamma)
-    _PARAM_CHECKS[family](param)  # before answer() charges the ledger
+    param = row.scale(sens, cfg.epsilon, cfg.gamma)
+    row.check(param)  # before answer() charges the ledger
     return Calibration(value, family, sens, param, cfg.gamma)
-
-
-def _scale(family: str, sens, epsilon: float, gamma: float | None = None):
-    # a family's noise parameter at sensitivity sens, a float or (for laplace
-    # and admissible) a column of them, 0 where sens is 0
-    if family == "laplace":
-        return sens / epsilon
-    if family == "discrete_laplace":
-        return math.exp(-epsilon / sens)
-    return 4.0 * gamma * sens / epsilon
 
 
 # Entries per dataset memo. A curator answering a fixed set of standard
@@ -507,12 +485,6 @@ def _memoized(d: Dataset, key, compute):
 def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
-
-
-def _group_scale(d: Dataset, q: QuerySpec, g: int) -> float:
-    # smallest scale meeting every distance-i constraint of the linear schedule;
-    # from i = n on x~_{r+i} and x~_{r-i} are clamped, so rung / i only falls
-    return max(b / i for i, b in enumerate(group_local_sensitivity(d, q, min(g, d.n)), start=1))
 
 
 def answer(
@@ -553,10 +525,9 @@ def answer(
 def release(cal: Calibration, rng: RandomSource):
     """The published value of a calibration, from one sampler call.
 
-    Laplace and admissible noise, lone or block, is one unit-scale draw times
-    the scale: both samplers end in scale * (unit draw), so the product is bit
-    for bit the draw at that scale. Discrete Laplace is drawn at its own
-    alpha, lone only. Every scale or alpha passes its parameter check first.
+    Each family draws as its row of _FAMILIES says, after its parameter
+    check. A unit-scale draw times the scale is bit for bit the draw at that
+    scale: both such samplers end in scale * (unit draw).
 
     A lone calibration (see calibrate) publishes a number, or a list for a
     histogram, with size None for a scalar, so answer() does no array work;
@@ -570,13 +541,13 @@ def release(cal: Calibration, rng: RandomSource):
 
     A noisy value that is not finite is refused with ConfigError (see answer).
     """
-    check = _PARAM_CHECKS.get(cal.family)  # None for an exact calibration
+    row = _FAMILIES.get(cal.family)  # None for an exact calibration
     if not isinstance(cal.sensitivity_used, np.ndarray):
-        if check is None:  # only an order statistic can be exact: a float
+        if row is None:  # only an order statistic can be exact: a float
             return cal.value
-        check(cal.param)
-        return _add_noise(cal.value, cal.family, cal.param, cal.gamma, rng)
-    if cal.family == "discrete_laplace":
+        row.check(cal.param)
+        return _add_noise(cal.value, row, cal.param, cal.gamma, rng)
+    if row.unit is None:
         raise PreconditionError("discrete Laplace is drawn at its own alpha, one dataset at a time; "
                                 "a block of it is refused")
     noisy = cal.sensitivity_used != 0.0
@@ -586,9 +557,9 @@ def release(cal: Calibration, rng: RandomSource):
     values, scales = (cal.value, cal.param) if every else (cal.value[noisy], cal.param[noisy])
     # Each check accepts an interval of scales, so all pass once the extremes
     # do; min and max propagate a NaN.
-    check(float(np.minimum.reduce(scales)))
-    check(float(np.maximum.reduce(scales)))
-    flat = _add_noise(values, cal.family, scales, cal.gamma, rng)
+    row.check(float(np.minimum.reduce(scales)))
+    row.check(float(np.maximum.reduce(scales)))
+    flat = _add_noise(values, row, scales, cal.gamma, rng)
     if every:
         return flat
     out = cal.value.tolist()
@@ -597,20 +568,18 @@ def release(cal: Calibration, rng: RandomSource):
     return out
 
 
-def _add_noise(value, family: str, param, gamma: float | None, rng: RandomSource):
-    """value plus one draw at the checked param, as published.
+def _add_noise(value, family: _Family, param, gamma: float | None, rng: RandomSource):
+    """value plus one draw of the family at the checked param, as published.
 
     param is the discrete alpha, or a scale (a float, or one per element of
     value) that multiplies a unit draw; a scalar draw takes it as a Python
     float, so that a float32 scale multiplies in float64, as in the samplers.
     """
     size = value.size if isinstance(value, np.ndarray) else None
-    if family == "discrete_laplace":
+    if family.unit is None:
         noise = sample_discrete_laplace(DiscreteLaplaceParams(param), rng, size)
     else:
-        unit = (sample_laplace(_UNIT_LAPLACE, rng, size) if family == "laplace"
-                else sample_admissible(_unit_admissible(gamma), rng, size))
-        noise = unit * (float(param) if size is None else param)
+        noise = family.unit(gamma, rng, size) * (float(param) if size is None else param)
 
     noisy = value + noise
     if size is None:
@@ -625,13 +594,34 @@ def _add_noise(value, family: str, param, gamma: float | None, rng: RandomSource
     return noisy.tolist()  # int64 counts stay ints under discrete noise
 
 
-# The check each family's parameter object makes of its noise parameter,
-# run on its own by the calibrations and by release
-_PARAM_CHECKS = {
-    "laplace": _check_laplace_scale,
-    "discrete_laplace": _check_alpha,
-    "admissible": _check_admissible_scale,
-}
+# ---------------------------------------------------------------------------
+# the mechanism tables: one row per noise family and one per regime. Rows look
+# the samplers and sensitivities up as module globals at call time, so that a
+# wrapper set on this module (a tracer) sees every call.
+# ---------------------------------------------------------------------------
+
+
+class _Family(NamedTuple):
+    """A noise family's row of _FAMILIES, keyed by the name Calibration.family holds."""
+
+    scale: Callable  # (sens, epsilon, gamma): its parameter; a column of sens gives a column
+    check: Callable  # the check its parameter object makes, run before a charge and a draw
+    # (gamma, rng, size): a unit-scale draw, which times a scale is the draw at
+    # that scale; None: drawn at its own parameter, lone and counts only
+    unit: Callable | None
+
+
+class _Regime(NamedTuple):
+    """A regime's row of _REGIMES, keyed by MechanismConfig.regime. Counts need
+    none: every regime calibrates them to their global sensitivity."""
+
+    lone: Callable  # (d, q, cfg, r, x): the sensitivity of an order statistic x = x~_r
+    block: Callable | None  # (block, lower, upper, q, cfg, r): (x, sens) columns; None: no block path
+    family: str | None  # the family it always draws; None: the config's
+    own: tuple[str, Callable] | None  # the config field only it sets, and that field's check
+    publishes: bool  # whether its record may publish sensitivity_used and noise_scale
+    claimed: Callable  # (epsilon, i): the output ratio it claims at distance i
+
 
 # unit-scale noise parameters; frozen, so shared
 _UNIT_LAPLACE = LaplaceParams(0.0, 1.0)
@@ -641,3 +631,71 @@ _UNIT_LAPLACE = LaplaceParams(0.0, 1.0)
 def _unit_admissible(gamma: float) -> AdmissibleNoiseParams:
     return AdmissibleNoiseParams(gamma, 1.0)
 
+
+_FAMILIES = MappingProxyType({
+    "laplace": _Family(lambda sens, eps, gamma: sens / eps, lambda b: _check_scale(b, "Laplace scale"),
+                       lambda gamma, rng, size: sample_laplace(_UNIT_LAPLACE, rng, size)),
+    "discrete_laplace": _Family(lambda sens, eps, gamma: math.exp(-eps / sens), _check_alpha, None),
+    "admissible": _Family(lambda sens, eps, gamma: 4.0 * gamma * sens / eps, _check_scale,
+                          lambda gamma, rng, size: sample_admissible(_unit_admissible(gamma), rng, size)),
+})
+_CONFIG_FAMILIES = ("laplace", "discrete_laplace")  # a config's choices, its default first
+
+
+def _smooth_stat(d: Dataset, q: QuerySpec, cfg: MechanismConfig, r: int, x: float) -> float:
+    beta = cfg.epsilon / cfg.gamma
+    return _memoized(d, ("smooth", q, beta), lambda: smooth_sensitivity(d, q, beta))
+
+
+def _smooth_block(block: np.ndarray, lower, upper, q: QuerySpec, cfg: MechanismConfig, r: int):
+    return block[:, r - 1], smooth_sensitivity_block(block, lower, upper, q, cfg.epsilon / cfg.gamma)
+
+
+def _local(v: np.ndarray, lower, upper, q: QuerySpec, cfg: MechanismConfig, r: int):
+    # x~_r and rung 1 of its ladder, of sorted values v or of each row of a block
+    _ladder_rank(q, v.shape[-1])  # the local sensitivity's
+    below, x, above = _around(v, lower, upper, r)
+    return x, _rung(x, above, below)
+
+
+def _group_stat(d: Dataset, q: QuerySpec, cfg: MechanismConfig, r: int, x: float) -> float:
+    # the smallest scale meeting every distance-i constraint of the linear
+    # schedule; from i = n on x~_{r+i} and x~_{r-i} are clamped, so rung / i only falls
+    g = cfg.group_size
+    return _memoized(d, ("gdp", q, g), lambda: max(
+        b / i for i, b in enumerate(group_local_sensitivity(d, q, min(g, d.n)), start=1)))
+
+
+def _gamma(gamma):
+    if gamma is not None and (type(gamma) is bool or not isinstance(gamma, numbers.Real)):
+        raise ConfigError(f"gamma must be a real number, got {gamma!r}")
+    if gamma is None or not (gamma > 1.0 and math.isfinite(gamma)):
+        raise ConfigError(f"dp_smooth needs a finite gamma > 1, got {gamma}")
+    return gamma
+
+
+def _group_size(group_size) -> int:
+    try:
+        g = 0 if isinstance(group_size, (bool, np.bool_)) else operator.index(group_size)
+    except TypeError:
+        g = 0
+    if g < 1:
+        raise ConfigError(f"gdp needs an integer group_size >= 1, got {group_size!r}")
+    return g
+
+
+def _flat_claim(epsilon: float, i: int) -> float:
+    return math.exp(epsilon)  # whatever the distance, so group leakage is not excused
+
+
+# each row: lone, block, family, own, publishes, claimed
+_REGIMES = MappingProxyType({
+    "dp_global": _Regime(lambda d, q, cfg, r, x: global_sensitivity(q, d.bounds, d.n), None,
+                         None, None, True, _flat_claim),
+    "dp_smooth": _Regime(_smooth_stat, _smooth_block, "admissible", ("gamma", _gamma), False, _flat_claim),
+    "idp_local": _Regime(lambda d, q, cfg, r, x: _local(d.values, d.bounds.lower, d.bounds.upper,
+                                                        q, cfg, r)[1], _local, None, None, True, _flat_claim),
+    # the linear schedule eps_i = i * eps, up to the group size
+    "gdp": _Regime(_group_stat, None, None, ("group_size", _group_size), True,
+                   lambda epsilon, i: math.exp(i * epsilon)),
+})

@@ -24,19 +24,14 @@ _TWO53 = float(1 << 53)
 
 # The checks each parameter object makes of its noise parameter, also run on
 # their own where a parameter is checked before any object is built
-def _check_laplace_scale(scale: float) -> None:
+def _check_scale(scale: float, name: str = "scale") -> None:
     if not (scale > 0 and math.isfinite(scale)):
-        raise PreconditionError(f"Laplace scale must be positive, got {scale}")
+        raise PreconditionError(f"{name} must be positive, got {scale}")
 
 
 def _check_alpha(alpha: float) -> None:
     if not (0.0 < alpha < 1.0):
         raise PreconditionError(f"alpha must lie in (0, 1), got {alpha}")
-
-
-def _check_admissible_scale(scale: float) -> None:
-    if not (scale > 0 and math.isfinite(scale)):
-        raise PreconditionError(f"scale must be positive, got {scale}")
 
 
 @dataclass(frozen=True)
@@ -49,7 +44,7 @@ class LaplaceParams:
     def __post_init__(self) -> None:
         if not math.isfinite(self.location):
             raise PreconditionError("Laplace location must be finite")
-        _check_laplace_scale(self.scale)
+        _check_scale(self.scale, "Laplace scale")
 
 
 @dataclass(frozen=True)
@@ -72,7 +67,7 @@ class AdmissibleNoiseParams:
     def __post_init__(self) -> None:
         if not (self.gamma > 1.0 and math.isfinite(self.gamma)):
             raise PreconditionError(f"gamma must exceed 1, got {self.gamma}")
-        _check_admissible_scale(self.scale)
+        _check_scale(self.scale)
 
 
 class RandomSource:

@@ -16,7 +16,7 @@ from itertools import combinations, combinations_with_replacement, product
 
 import numpy as np
 
-from .curator import MechanismConfig, calibrate
+from .curator import _REGIMES, MechanismConfig, calibrate
 from .dataset import Dataset, DomainBounds
 from .errors import ConfigError, PreconditionError
 from .noise import dl_pmf
@@ -151,16 +151,19 @@ def verify_ratio_bound(
     noise distribution is applied to every neighbor, which is precisely the
     per-dataset guarantee being claimed. For each dataset D' within the given
     distance, the supremum over outputs of Pr[k(D) = s] / Pr[k(D') = s] and
-    its inverse is compared to exp(i * eps) for the gdp schedule, or exp(eps)
-    for every other regime regardless of distance (so group leakage of the
-    local-sensitivity mechanism is visible, not excused).
+    its inverse is compared to the ratio the regime's row claims at distance
+    i: exp(i * eps) for the gdp schedule, or exp(eps) for every other regime
+    regardless of distance (so group leakage of the local-sensitivity
+    mechanism is visible, not excused).
     """
     if distance < 1:
         raise PreconditionError(f"distance must be >= 1, got {distance}")
     base = _require_on_grid(d, grid)
     cal = calibrate(d, q, cfg)
-    if cal.family == "admissible":
+    sup_ratio = _SUP_RATIOS.get(cal.family)
+    if sup_ratio is None:
         raise ConfigError("ratio verification supports laplace and discrete_laplace only")
+    claimed = _REGIMES[cfg.regime].claimed
 
     f_base = brute_value(base, q)
     checked = 0
@@ -172,8 +175,8 @@ def verify_ratio_bound(
         if dist == 0:
             continue
         checked += 1
-        bound = math.exp(dist * cfg.epsilon) if cfg.regime == "gdp" else math.exp(cfg.epsilon)
-        ratio = _sup_ratio(cal, f_base, brute_value(y, q))
+        bound = claimed(cfg.epsilon, dist)
+        ratio = sup_ratio(cal.param, f_base - brute_value(y, q))
         excess = math.inf if math.isinf(ratio) else ratio / bound
         # on equal excess the farther neighbor wins, so a tight gdp bound at
         # the largest distance is the one reported
@@ -208,19 +211,20 @@ def _neighborhood(base, grid: GridDomain, distance: int):
                     yield key
 
 
-def _sup_ratio(cal, f1: np.ndarray, f2: np.ndarray) -> float:
-    deltas = f1 - f2
-    l1 = float(np.sum(np.abs(deltas)))
-    if cal.family == "exact":
-        return 1.0 if l1 == 0.0 else math.inf
-    if cal.family == "laplace":
-        return math.exp(l1 / cal.param)
-    # discrete Laplace: independent per-component pmfs multiply, so the sup of
-    # the product ratio is the product of per-component sups
-    ratio = 1.0
-    for delta in deltas:
-        ratio *= _dl_component_sup(cal.param, int(round(delta)))
-    return ratio
+def _l1(deltas: np.ndarray) -> float:
+    return float(np.sum(np.abs(deltas)))
+
+
+# Per family, the sup over outputs of the two-sided ratio of the output
+# densities at centers f1 and f2, from the family's parameter and f1 - f2.
+# Discrete Laplace components are independent pmfs that multiply, so the sup
+# of the product ratio is the product of per-component sups.
+_SUP_RATIOS = {
+    "exact": lambda param, deltas: 1.0 if _l1(deltas) == 0.0 else math.inf,
+    "laplace": lambda param, deltas: math.exp(_l1(deltas) / param),
+    "discrete_laplace": lambda alpha, deltas: math.prod(
+        _dl_component_sup(alpha, int(round(delta))) for delta in deltas),
+}
 
 
 def _dl_component_sup(alpha: float, delta: int) -> float:

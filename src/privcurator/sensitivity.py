@@ -178,7 +178,7 @@ def smooth_sensitivity(d: Dataset, q: QuerySpec, beta: float) -> float:
     _check_beta(beta)
     if q.integer_valued:
         return float(min(2, q.n_bins))  # constant local sensitivity smooths to itself
-    if not d.bounds.is_bounded:
+    if not math.isfinite(d.bounds.span):  # unbounded, or a span past the largest float
         return math.inf
     return _smooth_rank(d.values, d.bounds.lower, d.bounds.upper, _rank(q, d.n), beta)
 
@@ -222,8 +222,9 @@ def smooth_sensitivity_block(block: np.ndarray, lower: np.ndarray, upper: np.nda
     n = block.shape[1]
     r = _rank(q, n)
     below, x, above = _around(block, lower, upper, r)
-    firsts = _rung(x, above, below)  # a_0, the term at k = 0; 0 inside a run of ties
-    spans = upper - lower
+    with np.errstate(over="ignore"):  # a span past the largest float is inf, as is its S(D)
+        firsts = _rung(x, above, below)  # a_0, the term at k = 0; 0 inside a run of ties
+        spans = upper - lower
     if n < _DENSE_K:  # every first block ends by k = n + 1 <= _DENSE_K
         lock = (firsts > 0.0) & (spans < math.inf)
     else:

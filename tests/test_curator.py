@@ -441,6 +441,11 @@ def test_calibrate_block_refuses_a_block_of_no_datasets():
             curator.calibrate_block(block, lower, upper, QuerySpec.median(), cfg)
     # the scan itself gives a block of no rows no column entries
     assert sensitivity.smooth_sensitivity_block(block, lower, upper, QuerySpec.median(), 0.5).shape == (0,)
+    # a regime with no block row is refused by name
+    block, lower, upper = synthesize_block("uniform01", 9, 5, 2)
+    for cfg in (MechanismConfig("dp_global", 0.5), MechanismConfig("gdp", 0.5, group_size=2)):
+        with pytest.raises(ConfigError, match=cfg.regime):
+            curator.calibrate_block(block, lower, upper, QuerySpec.median(), cfg)
 
 
 def test_memo_is_bounded_and_evicts_the_oldest():
@@ -729,6 +734,44 @@ def test_answer_json_shape():
     out = answer(d, QuerySpec.median(), MechanismConfig("idp_local", 1.0), RandomSource(5),
                  _free_ledger())
     assert out.to_json_dict()["noise"] == "laplace"
+
+
+# the names a run-time tracer wraps on the curator module (perfbench/spans.py)
+TRACED = ("sample_laplace", "sample_discrete_laplace", "sample_admissible", "smooth_sensitivity",
+          "group_local_sensitivity", "global_sensitivity", "evaluate", "calibrate")
+
+
+def test_answer_looks_every_traced_name_up_on_the_module(monkeypatch):
+    # a wrapper set on the module must see every call, so no table row may
+    # hold a reference taken at import; fresh datasets make every memo a miss
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in TRACED:
+        monkeypatch.setattr(curator, name, counting(name, getattr(curator, name)))
+    median = QuerySpec.median()
+    smooth = MechanismConfig("dp_smooth", 1.0, gamma=3.0)
+    gdp = MechanismConfig("gdp", 1.0, group_size=2)
+    cases = [(median, MechanismConfig("dp_global", 1.0), {"global_sensitivity", "sample_laplace"}),
+             (median, smooth, {"smooth_sensitivity", "sample_admissible"}),
+             (median, MechanismConfig("idp_local", 1.0), {"sample_laplace"}),
+             (median, gdp, {"group_local_sensitivity", "sample_laplace"})]
+    samplers = (("laplace", "sample_laplace"), ("discrete_laplace", "sample_discrete_laplace"))
+    for q in (QuerySpec.range_count(0.5, 1.0), QuerySpec.histogram([0.0, 0.5, 1.0])):
+        cases.append((q, smooth, {"evaluate", "global_sensitivity", "sample_admissible"}))
+        for family, sampler in samplers:
+            for regime, group_size in (("dp_global", None), ("idp_local", None), ("gdp", 2)):
+                cfg = MechanismConfig(regime, 1.0, noise_family=family, group_size=group_size)
+                cases.append((q, cfg, {"evaluate", "global_sensitivity", sampler}))
+    for q, cfg, used in cases:
+        calls.clear()
+        answer(_d([0.1, 0.4, 0.5, 0.8, 0.9]), q, cfg, RandomSource(0), _free_ledger())
+        assert set(calls) == used | {"calibrate"}, (q, cfg)
 
 
 def test_answer_json_hides_smooth_sensitivity():
@@ -1035,6 +1078,39 @@ def test_session_error_paths(tmp_path):
     }), encoding="utf-8")
     with pytest.raises(SessionError, match="budget"):
         load_session(overspent)
+
+
+@pytest.mark.parametrize("field, doc", [
+    ("version", {"version": True, "total_budget": 1.0, "entries": []}),
+    ("version", {"version": 1.0, "total_budget": 1.0, "entries": []}),
+    ("total_budget", {"version": 1, "total_budget": True, "entries": []}),
+    ("total_budget", {"version": 1, "total_budget": "2", "entries": []}),
+    ("total_budget", {"version": 1, "total_budget": 10 ** 400, "entries": []}),
+    ("epsilon", {"version": 1, "total_budget": 1.0, "entries": [{"query": "median", "epsilon": True}]}),
+    ("epsilon", {"version": 1, "total_budget": 1.0, "entries": [{"query": "median", "epsilon": "0.5"}]}),
+    ("query", {"version": 1, "total_budget": 1.0, "entries": [{"query": 5, "epsilon": 0.5}]}),
+    ("entries", {"version": 1, "total_budget": 1.0, "entries": {}}),
+    ("entries", {"version": 1, "total_budget": 1.0, "entries": "median"}),
+])
+def test_session_fields_of_the_wrong_json_type_are_refused(tmp_path, field, doc):
+    # a bool would read as 1.0, a numeric string would parse, a number would
+    # become a query string and an object or a string would read as no
+    # entries: none of them is what save_session writes
+    path = tmp_path / "session.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(SessionError, match=field):
+        load_session(path)
+
+
+def test_every_golden_session_text_loads_and_saves_back_unchanged(tmp_path):
+    golden = json.loads((Path(__file__).parent / "golden" / "outputs.json").read_text(encoding="utf-8"))
+    texts = [v["session"] for k, v in golden["entries"].items() if k.startswith("session/")]
+    assert len(texts) == 3 and any("Infinity" in t for t in texts)
+    path = tmp_path / "session.json"
+    for text in texts:
+        path.write_text(text, encoding="utf-8")
+        save_session(load_session(path), path)
+        assert path.read_text(encoding="utf-8") == text
 
 
 @pytest.mark.parametrize("content", [b"[1, 2]", b'"x"', b"3", b"null", b"\xff\xfe{}"])

@@ -525,6 +525,19 @@ def test_smooth_sensitivities_keep_list_order_across_sizes_and_bounds():
         with pytest.raises(PreconditionError, match="beta"):
             sensitivity.smooth_sensitivity_block(*block, QuerySpec.median(), 0.0)
 
+
+def test_a_span_past_the_largest_float_smooths_to_inf_without_a_warning():
+    # upper - lower overflows to inf between finite bounds; both paths return
+    # inf, as for an unbounded domain, and the suite's RuntimeWarning filter
+    # fails any numpy overflow warning on the way
+    values = np.arange(5.0)
+    wide = DomainBounds(-1e308, 1e308)
+    block = (np.vstack((values, values)), np.array([-1e308, 0.0]), np.array([1e308, 4.0]))
+    for q in (QuerySpec.median(), QuerySpec.maximum(), QuerySpec.second_maximum()):
+        assert smooth_sensitivity(_d(values, wide), q, 0.3) == math.inf
+        assert sensitivity.smooth_sensitivity_block(*block, q, 0.3).tolist() == \
+            [math.inf, smooth_sensitivity(_d(values, DomainBounds(0.0, 4.0)), q, 0.3)]
+
 # stop indices on, just before and just after the scans' block edges: a scan
 # whose first term is 0 ends its first block at k = 32 and, while its terms
 # stay 0, grows 16-fold, to k = 512; other blocks end where the best so far
