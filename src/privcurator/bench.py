@@ -14,7 +14,6 @@ import csv
 import functools
 import math
 import numbers
-import operator
 from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
@@ -28,6 +27,7 @@ from .noise import (
     AdmissibleNoiseParams,
     LaplaceParams,
     RandomSource,
+    _integer,
     admissible_pdf,
     laplace_pdf,
     sample_admissible,
@@ -69,7 +69,7 @@ class ExperimentPlan:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "distributions", tuple(self.distributions))
-        object.__setattr__(self, "sizes", tuple(_plan_int("size", s) for s in self.sizes))
+        object.__setattr__(self, "sizes", tuple(_integer("size", s) for s in self.sizes))
         object.__setattr__(self, "epsilons", tuple(_plan_real("epsilon", e) for e in self.epsilons))
         for dist in self.distributions:
             if dist not in SYNTH_DISTRIBUTIONS:
@@ -82,8 +82,8 @@ class ExperimentPlan:
         for eps in self.epsilons:
             if not 0.5 <= eps <= 1.0:
                 raise PreconditionError(f"epsilon must lie in [0.5, 1], got {eps}")
-        object.__setattr__(self, "trials", _plan_int("trials", self.trials))
-        object.__setattr__(self, "seed", _plan_int("seed", self.seed))
+        object.__setattr__(self, "trials", _integer("trials", self.trials))
+        object.__setattr__(self, "seed", _integer("seed", self.seed))
         if self.trials < 1:
             raise PreconditionError(f"trials must be >= 1, got {self.trials}")
         object.__setattr__(self, "gamma", _plan_real("gamma", self.gamma))
@@ -98,16 +98,6 @@ def _plan_real(name: str, value) -> float:
     if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
         raise PreconditionError(f"{name} must be a real number, got {value!r}")
     return float(value)
-
-
-def _plan_int(name: str, value) -> int:
-    """value as a plain int; a bool or a non-integral number is refused."""
-    if isinstance(value, (bool, np.bool_)):
-        raise PreconditionError(f"{name} must be an integer, not a bool")
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise PreconditionError(f"{name} must be an integer, got {value!r}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -655,7 +655,10 @@ def _local(v: np.ndarray, lower, upper, q: QuerySpec, cfg: MechanismConfig, r: i
     # x~_r and rung 1 of its ladder, of sorted values v or of each row of a block
     _ladder_rank(q, v.shape[-1])  # the local sensitivity's
     below, x, above = _around(v, lower, upper, r)
-    return x, _rung(x, above, below)
+    if v.ndim == 1:
+        return x, _rung(x, above, below)
+    with np.errstate(over="ignore"):  # a gap past the largest float is inf, refused as for floats
+        return x, _rung(x, above, below)
 
 
 def _group_stat(d: Dataset, q: QuerySpec, cfg: MechanismConfig, r: int, x: float) -> float:

@@ -13,6 +13,7 @@ exactly from a ratio of two gamma variates (see sample_admissible).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,6 +71,16 @@ class AdmissibleNoiseParams:
         _check_scale(self.scale)
 
 
+def _integer(name: str, value) -> int:
+    """value as a plain int; a bool or a non-integral number is refused."""
+    if isinstance(value, (bool, np.bool_)):
+        raise PreconditionError(f"{name} must be an integer, not a bool")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise PreconditionError(f"{name} must be an integer, got {value!r}") from None
+
+
 class RandomSource:
     """Seeded deterministic stream of uniforms and log-gamma variates.
 
@@ -78,12 +89,14 @@ class RandomSource:
     """
 
     def __init__(self, seed: int | np.random.SeedSequence):
-        if isinstance(seed, np.random.SeedSequence):
-            self._seq = seed
-        elif int(seed) >= 0:
-            self._seq = np.random.SeedSequence(int(seed))
-        else:
-            raise PreconditionError(f"seed must be non-negative, got {seed}")
+        # a bool or a non-integral seed is refused, so that no two different
+        # seeds draw one stream (2.7 would draw seed 2's, True seed 1's)
+        if not isinstance(seed, np.random.SeedSequence):
+            seed = _integer("seed", seed)
+            if seed < 0:
+                raise PreconditionError(f"seed must be non-negative, got {seed}")
+            seed = np.random.SeedSequence(seed)
+        self._seq = seed
         self._gen = np.random.Generator(np.random.PCG64(self._seq))
 
     def uniforms(self, size: int | None = None):

@@ -16,15 +16,12 @@ a_k = max over t = 0..k+1 of x~_{r+t} - x~_{r+t-k-1}. Up to the stopping
 index K, S(D) costs O(K) math.exp calls for the decays plus numpy work:
 O(K) for max and max2, whose a_k need at most n - r + 2 gaps each, and
 O(K log K) in the worst case for the median, whatever the spacing of the
-data. smooth_sensitivity_block scans many datasets of one size at once, as
-a sorted block: a (T, n) array of their sorted values, with their bounds as
-two columns. Column operations triage the rows: each row's log guess of
-its first block end, tested as one column, picks the rows whose first
-blocks are short, and those run them in lockstep, sliced from the array. The scan's exact skip
-test screens the block's k on all of these rows at once, so only the a_k up
-to the last k that some row cannot skip are computed, as maxima over the
-outer axis of one gap tensor; a row that goes on, and every other row,
-scans alone, as smooth_sensitivity does.
+data. One scan computes S(D): smooth_sensitivity_block runs it over a
+sorted block, a (T, n) array of the sorted values of T datasets of one size
+with their bounds as two columns, and smooth_sensitivity is the one-row
+block. The scan runs the k in blocks of numpy work shared by the rows still
+running; every row leaves the loop at its own stop, with the float a scalar
+loop over its k gives.
 
 Counting queries have constant L1 sensitivity min(2, n_bins) under the
 modify-one-record neighbor relation, where a range count has one bin. A
@@ -114,7 +111,8 @@ def _around(v: np.ndarray, lower, upper, r: int):
 def _rung(x, up, down):
     # rung i of the ladder of x = x~_r, from up = x~_{r+i} and down = x~_{r-i}:
     # i modified records move x~_r at most to x~_{r+i} or to x~_{r-i}. Floats,
-    # or columns of them
+    # or columns of them, where a gap past the largest float is inf, as for
+    # floats, once the caller silences numpy's overflow warning
     if type(x) is float:
         return max(up - x, x - down)
     return np.maximum(up - x, x - down)
@@ -151,36 +149,16 @@ def smooth_sensitivity(d: Dataset, q: QuerySpec, beta: float) -> float:
     a_k = max over t = 0..k+1 of x~_{r+t} - x~_{r+t-k-1}, and the overall
     max over k = 0..n of exp(-beta k) * a_k stops early, at the first k where
     exp(-beta k) times the domain span cannot beat the best term before it.
-    The k run in blocks of numpy work, and the result is the same float as a
-    scalar loop over k: maxima and float subtraction and multiplication round
-    the same in any order, and every skipped term is shown, by monotone
-    rounding, unable to beat the best before it. So no block edge moves the
-    result, and smooth_sensitivity_block, which scans the first blocks of
-    many datasets together, gives each the float this function gives it
-    alone.
-
-    Every decay is math.exp(-beta * k), never np.exp, which can differ from
-    it in the last bit: one math.exp call per k scanned, on top of the numpy
-    block work.
-
-    A block of at most _DENSE_K k computes every a_k from one gap matrix
-    over the window x~_{r-K} .. x~_{r+K}. In a longer block a k is skipped
-    when exp(-beta k) times the outer gap x~_{r+k+1} - x~_{r-k-1},
-    which holds every gap of a_k, cannot beat the running best of
-    exp(-beta k) times a one-sided gap x~_{r+k+1} - x~_r or x~_r - x~_{r-k-1},
-    which a_k is at least. The remaining a_k cost O(min(k, n - r)) each:
-    past t = n - r + 1 every gap is max(Dom) minus a larger statistic, so max
-    and max2 cost O(K) for the stopping index K. When the median's outgrow
-    O(K log K) the scan switches to Nissim, Raskhodnikova and Smith's divide
-    and conquer over the monotone argmax (STOC 2007, section 3.1), made exact
-    in floating point by a rounding tolerance, for O(K log K) overall.
+    It is row 0 of smooth_sensitivity_block on the one-row block of d's
+    values, with one-entry bound columns: the same scan, so the same float.
     """
     _check_beta(beta)
     if q.integer_valued:
         return float(min(2, q.n_bins))  # constant local sensitivity smooths to itself
     if not math.isfinite(d.bounds.span):  # unbounded, or a span past the largest float
         return math.inf
-    return _smooth_rank(d.values, d.bounds.lower, d.bounds.upper, _rank(q, d.n), beta)
+    lower, upper = np.array([d.bounds.lower]), np.array([d.bounds.upper])
+    return float(smooth_sensitivity_block(d.values[None], lower, upper, q, beta)[0])
 
 
 def smooth_sensitivity_block(block: np.ndarray, lower: np.ndarray, upper: np.ndarray,
@@ -189,32 +167,44 @@ def smooth_sensitivity_block(block: np.ndarray, lower: np.ndarray, upper: np.nda
 
     Row i of the (T, n) block holds the sorted values of dataset i, whose
     bounds are lower[i] and upper[i]; entry i is the float smooth_sensitivity
-    gives that dataset. The rows' first scan blocks run in lockstep, in three
-    steps of column and block work:
+    gives that dataset, inf when its span is not finite. This is the only
+    S(D) scan. One loop runs the k in blocks [k0, k1) of numpy work over the
+    rows still running:
 
-    - Triage. x~_{r-1}, x~_r and x~_{r+1} are three column reads, which give
-      each row's first term a_0. A row runs in lockstep when its span is
-      finite, a_0 > 0 (x~_r is not inside a run of ties) and its first block
-      ends by k = _DENSE_K: n < _DENSE_K, or its log guess of the block's
-      end, ln(span / a_0) / beta + 2, is below _DENSE_K + 1. The lockstep
-      block ends at the largest guess, or at k = n + 1. The guess only sizes
-      the block.
-    - Screen. When the block's gap tensor would hold more than _SCREEN_GAPS
-      entries, _scan's exact skip test runs on every row and k at once: a k
-      whose decay times the outer gap x~_{r+k+1} - x~_{r-k-1} is at most the
-      running best of decay times a one-sided gap x~_{r+j+1} - x~_r or
-      x~_r - x~_{r-j-1}, j < k, cannot beat the best before it. Only the a_k
-      up to the last k that some row cannot skip are computed; the others
-      are left at 0.
-    - Reduce. Those a_k are maxima over the outer axis of one gap tensor per
-      chunk of rows, of at most _GATHER_LIMIT entries (see _lag_maxima).
-      With decays that never increase, a row's best is the best of all the
-      block's terms and its stop is one test at the block's last k;
-      otherwise one _fold gives every row its best and whether it stopped.
+    - Start. x~_{r-1}, x~_r and x~_{r+1} are three column reads, which give
+      each row's first term a_0. A row whose x~_r sits inside a run of ties
+      (a_0 = 0) starts at its first positive outer gap (_first_outer_gap)
+      with that k's term; every a_k below its start is exactly 0, so a loop
+      that starts lower moves none of its floats.
+    - Size. A block ends near the k where decay_k * span falls to the
+      smallest floor / span of its rows, the floor being the larger of a
+      row's first term and its running best: the stop cannot come later,
+      up to rounding. The first block ends at most 512 k on, a later one at
+      most at 16 * k0, so a typical scan is one block and a long one O(log K)
+      blocks. The guess only sizes the block.
+    - Reduce. A block whose gap tensor holds at most _DENSE_GAPS entries
+      computes every a_k. A longer one computes only the k that survive
+      some row's exact skip test: no gap of a_k exceeds the outer gap
+      x~_{r+k+1} - x~_{r-k-1}, and a_k is at least either one-sided gap
+      x~_{r+k+1} - x~_r or x~_r - x~_{r-k-1}; so a k whose decay times the
+      outer gap is at most the running best of decay times a one-sided gap
+      cannot beat the best before it. A row whose survivors would cost more
+      gaps than the pair search hands over to it: Nissim, Raskhodnikova and
+      Smith's divide and conquer over the monotone argmax, made exact in
+      floating point by a rounding tolerance (_smooth_by_pairs). So the
+      worst case stays O(K log K) for the stopping index K. The a_k are
+      maxima over the outer axis of gap tensors of at most _GATHER_LIMIT
+      entries (see _lag_maxima).
+    - Fold. _fold gives every row its running best and whether it stopped;
+      the rows that stopped drop out.
 
-    The decays come from a small bounded cache of read-only arrays (see
-    _lockstep_decays). A row still short of its stop goes on alone from the
-    block's end, and every other row scans alone, as smooth_sensitivity does.
+    Every result is the same float as a scalar loop over k, one row at a
+    time: maxima and float subtraction and multiplication round the same in
+    any order, and every skipped term is shown, by monotone rounding, unable
+    to beat the best before it. So no block edge, screen or grouping of rows
+    moves a result. Every decay is math.exp(-beta * k), never np.exp, which
+    can differ from it in the last bit: one math.exp call per k scanned,
+    cached for first blocks (see _first_decays).
     """
     _check_beta(beta)
     if q.integer_valued:
@@ -222,72 +212,77 @@ def smooth_sensitivity_block(block: np.ndarray, lower: np.ndarray, upper: np.nda
     n = block.shape[1]
     r = _rank(q, n)
     below, x, above = _around(block, lower, upper, r)
-    with np.errstate(over="ignore"):  # a span past the largest float is inf, as is its S(D)
+    with np.errstate(over="ignore", invalid="ignore"):
         firsts = _rung(x, above, below)  # a_0, the term at k = 0; 0 inside a run of ties
-        spans = upper - lower
-    if n < _DENSE_K:  # every first block ends by k = n + 1 <= _DENSE_K
-        lock = (firsts > 0.0) & (spans < math.inf)
-    else:
-        # a_0 > span * exp(-beta * (_DENSE_K - 1)) puts the guess below
-        # _DENSE_K + 1, and is false for an infinite span or a_0 = 0 (the
-        # exponent is capped so that the factor stays positive)
-        lock = firsts > spans * math.exp(-min(beta * (_DENSE_K - 1), 700.0))
-    if lock.size and lock.all():
-        return _lockstep(block, lower, upper, spans, firsts, r, beta)
-    rows = lock.nonzero()[0]
-    out = np.empty(len(block))
-    for i in (~lock).nonzero()[0].tolist():
-        # the lone scan; inf for an unbounded row (or one whose span overflows)
-        finite = math.isfinite(spans[i])
-        out[i] = _smooth_rank(block[i], float(lower[i]), float(upper[i]), r, beta) if finite else math.inf
-    if rows.size:
-        out[rows] = _lockstep(block[rows], lower[rows], upper[rows], spans[rows], firsts[rows], r, beta)
-    return out
-
-
-def _lockstep(block: np.ndarray, lower: np.ndarray, upper: np.ndarray, spans: np.ndarray,
-              firsts: np.ndarray, r: int, beta: float) -> np.ndarray:
-    # S(D) of the rows of a sorted block that run their first block in
-    # lockstep: finite spans, first terms a_0 > 0, and first blocks that end
-    # by k = _DENSE_K. The block ends at the largest guess, from the smallest
-    # a_0 / span, which may underflow to 0
-    n = block.shape[1]
-    least = float((firsts / spans).min())
-    guess = -math.log(least) / beta + 2.0 if least > 0.0 else math.inf
-    k1 = max(int(guess), 1) if guess < n + 1 else n + 1
-    d, descending = _lockstep_decays(beta, k1)
-    W = _order_stats(block, lower[:, None], upper[:, None], r - k1, 2 * k1 + 1)  # x~_{r-k1} .. x~_{r+k1}
+        spans = upper - lower  # a span past the largest float is inf, as is its S(D)
+        floor = float((firsts / spans).min(initial=1.0))  # NaN for inf / inf; a_0 <= span
+    out, live, k0 = np.empty(len(block)), np.arange(len(block)), 0
+    if not floor > 0.0:  # some row is unbounded, or its x~_r inside a run of ties
+        finite = spans < math.inf
+        out = np.where(finite, 0.0, math.inf)
+        starts = np.zeros(len(block), np.int64)
+        for i in ((firsts == 0.0) & finite).nonzero()[0].tolist():
+            # the term at the start is at least its decay times either one-sided gap
+            v, lo, hi, xi = block[i], float(lower[i]), float(upper[i]), float(x[i])
+            starts[i] = s = _first_outer_gap(v, lo, hi, r, xi)
+            firsts[i] = math.exp(-beta * s) * max(_stat(v, lo, hi, r + s + 1) - xi,
+                                                  xi - _stat(v, lo, hi, r - s - 1))
+        live = (finite & (starts <= n)).nonzero()[0]  # a start past n: a one-point domain, S(D) = 0
+        firsts, spans, k0 = firsts[live], spans[live], int(starts[live].min(initial=n + 1))
+        floor = float((firsts / spans).min(initial=1.0))
+    best = np.zeros(live.size)
+    refused = set()  # rows whose decays let the pair search give no result
     cap = n - r + 2  # the most gaps any a_k needs (see _lag_maxima)
-    K = k1  # the a_k computed, k < K
-    if len(block) * k1 * min(k1 + 1, cap) > _SCREEN_GAPS:
-        # _scan's skip test; k = 0 always stays, as d_0 * outer_0 >= a_0 > 0
-        x, up, down = W[:, k1, None], W[:, k1 + 1 :], W[:, k1 - 1 :: -1]  # x~_r, x~_{r+k+1}, x~_{r-k-1}
-        floor = np.maximum.accumulate(d * np.maximum(up - x, x - down), axis=1)
-        stays = (d[1:] * (up[:, 1:] - down[:, 1:]) > floor[:, :-1]).any(axis=0).nonzero()[0]
-        K = int(stays[-1]) + 2 if stays.size else 1
-    ks = np.arange(K)
-    step = max(_GATHER_LIMIT // (K * min(K + 1, cap)), 1)  # rows per gap tensor
-    if step >= len(block):
-        a = _lag_maxima(W, k1, ks, cap)
-    else:
-        a = np.concatenate([_lag_maxima(W[c : c + step], k1, ks, cap) for c in range(0, len(block), step)])
-    if descending:
-        # With decays that never increase, a row's stop test, decay_k * span
-        # at most the best before k, once true stays true, and no term past
-        # the stop beats the best before it (a_k <= span). So the best up to
-        # the stop is the best of all the block's terms, and the row stopped
-        # when the test holds at k1 - 1. _fold gives the same floats.
-        terms = d[:K] * a
-        before = np.maximum.reduce(terms[:, : k1 - 1], axis=1, initial=0.0)
-        stopped = d[k1 - 1] * spans <= before
-        best = np.maximum(before, terms[:, k1 - 1]) if K == k1 else before
-    else:
-        best, stopped = _fold(0.0, a, d, spans[:, None])
-    if not stopped.all():
-        for j in (~stopped).nonzero()[0].tolist():
-            best[j] = _scan(block[j], float(lower[j]), float(upper[j]), r, beta, 0,
-                            float(firsts[j]), float(best[j]), k1)
-    return best
+    first, least, most = True, k0 + 1, k0 + _FIRST_BLOCK * _MAX_GROWTH
+    while live.size:
+        # floor: the smallest of the rows' floor / span
+        guess = -math.log(floor) / beta + 2.0 if floor > 0.0 else math.inf
+        k1 = min(max(int(guess), least) if guess < most else most, n + 1)
+        d, descending = _first_decays(beta, k0, k1) if first else (_decays(beta, k0, k1), False)
+        W = _order_stats(block, lower[:, None], upper[:, None], r - k1, 2 * k1 + 1)  # x~_{r-k1} .. x~_{r+k1}
+        if live.size < len(block):
+            W = W[live]
+        handed = []
+        if live.size * (k1 - k0) * min(k1 + 1, cap) <= _DENSE_GAPS:
+            a = _lag_maxima(W, k1, np.arange(k0, k1), cap)
+        else:
+            # x~_r, x~_{r+k+1} and x~_{r-k-1} for the block's k
+            xr, up, down = W[:, k1, None], W[:, k1 + k0 + 1 :], W[:, k1 - k0 - 1 :: -1]
+            floors = np.empty((live.size, k1 - k0 + 1))
+            floors[:, 0] = best
+            np.multiply(d, np.maximum(up - xr, xr - down), out=floors[:, 1:])
+            np.maximum.accumulate(floors, axis=1, out=floors)
+            stays = d * (up - down) > floors[:, :-1]
+            # a row's survivors need at most (k1 - k0) * min(k1 + 1, cap) gaps
+            switch = _PAIRS_SWITCH * k1.bit_length() * (k1 + 2048)
+            many = (stays.sum(axis=1) > 64).nonzero()[0].tolist() if (k1 - k0) * min(k1 + 1, cap) > switch else []
+            for j in many:
+                i = int(live[j])
+                gaps = int(np.minimum(stays[j].nonzero()[0] + (k0 + 2), cap).sum())
+                if i not in refused and gaps > switch:
+                    # the survivors' lag maxima would cost more than the pair search
+                    s = _smooth_by_pairs(block[i], float(lower[i]), float(upper[i]), r, beta, float(best[j]), k1)
+                    if s is None:
+                        refused.add(i)
+                    else:
+                        handed.append((j, s))
+                        stays[j] = False
+            c = stays.any(axis=0).nonzero()[0]  # the union of the rows' survivors
+            a = np.zeros((live.size, k1 - k0))
+            if c.size:
+                a[:, c] = _lag_maxima(W, k1, c + k0, cap)
+        best, stopped = _fold(best, a, d, spans, descending)
+        for j, s in handed:
+            best[j], stopped[j] = s, True
+        if k1 > n or stopped.all():  # past the last k every row has its result
+            out[live] = best
+            break
+        out[live[stopped]] = best[stopped]
+        going = ~stopped
+        live, best, firsts, spans = live[going], best[going], firsts[going], spans[going]
+        floor = float((np.maximum(best, firsts) / spans).min())
+        k0, first, least, most = k1, False, k1 + _FIRST_BLOCK, _MAX_GROWTH * k1
+    return out
 
 
 def _check_beta(beta: float) -> None:
@@ -295,49 +290,26 @@ def _check_beta(beta: float) -> None:
         raise PreconditionError(f"beta must be positive and finite, got {beta}")
 
 
-# The k scan runs in blocks of numpy work, from k = start (0 unless x~_r
-# sits inside a run of ties). A block [k0, k1) ends near the k where
-# decay_k * span falls to the first term or the best so far, which the stop
-# cannot pass, but the first one at most at start + 512 and a later one at
-# 16 * k0. So a typical scan is one block, and a long one O(log K) blocks.
+# A scan's first block ends at most _FIRST_BLOCK * _MAX_GROWTH k past its
+# start, and a later block [k0, k1) at least _FIRST_BLOCK k past k0 and at
+# most at _MAX_GROWTH * k0.
 _FIRST_BLOCK = 32
 _MAX_GROWTH = 16
 
-# A block of at most _DENSE_K k whose k count times k1 is at most
-# _DENSE_GAPS computes every a_k, as one gap tensor of that size per
-# dataset; a larger one only those of the k that survive the skip test,
-# which costs less once a block holds more than a few dozen k.
-_DENSE_K = 64
+# A block whose gap tensor, over every k of every running row, would hold
+# at most this many entries computes every a_k; a larger one only those of
+# the k that survive the skip test, whose dozen numpy calls cost more than
+# the gaps they save below it.
 _DENSE_GAPS = 1 << 14
 
 # The lag maxima are computed in gap tensors of at most this many
 # entries, so neither a long scan nor a large block holds a quadratic array.
 _GATHER_LIMIT = 1 << 18
 
-# A lockstep block screens its k with the skip test when its gap tensor
-# would hold more than this many entries; below it the screen's dozen numpy
-# calls cost more than the gaps they save.
-_SCREEN_GAPS = 1 << 13
-
 # The pair search costs about log2(C) levels of numpy calls over
-# O(C) pairs each; the scan hands over to it once the survivors of one block
+# O(C) pairs each; a row hands over to it once its survivors of one block
 # need more gaps than a few times that.
 _PAIRS_SWITCH = 4
-
-
-def _block_end(k0: int, start: int, floor: float, span: float, beta: float, stop: int) -> int:
-    # floor is a lower bound of the best before every k > k0 (the first term
-    # of the scan, or the best so far); decay_k * span <= floor from about
-    # the k guessed here, so the stop comes no later (up to rounding: the
-    # guess only sizes the block)
-    if k0 == start:
-        k1, least, most = start + _FIRST_BLOCK, start + 1, start + _FIRST_BLOCK * _MAX_GROWTH
-    else:
-        k1, least, most = _MAX_GROWTH * k0, k0 + _FIRST_BLOCK, _MAX_GROWTH * k0
-    if floor > 0.0:
-        guess = math.log(span / floor) / beta + 2.0
-        k1 = max(int(guess), least) if guess < most else most
-    return min(k1, stop)
 
 
 def _decays(beta: float, k0: int, k1: int) -> np.ndarray:
@@ -349,95 +321,44 @@ def _decays(beta: float, k0: int, k1: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=256)
-def _lockstep_decays(beta: float, k1: int) -> tuple[np.ndarray, bool]:
-    # _decays(beta, 0, k1), read-only, and whether they never increase: a
-    # lockstep block's decays. k1 <= _DENSE_K, so the cache holds at most
-    # 256 * 64 floats
-    d = _decays(beta, 0, k1)
+def _first_decays(beta: float, k0: int, k1: int) -> tuple[np.ndarray, bool]:
+    # _decays(beta, k0, k1), read-only, and whether they never increase: a
+    # first block's decays, which every scan of one beta and block reads.
+    # k1 - k0 <= 512, so the cache holds at most 256 * 512 floats
+    d = _decays(beta, k0, k1)
     d.flags.writeable = False
     return d, bool((d[1:] <= d[:-1]).all())
 
 
-def _fold(best, a: np.ndarray, decays: np.ndarray, span):
-    """Fold one block of terms decay_k * a_k into the running best.
+def _fold(best: np.ndarray, a: np.ndarray, decays: np.ndarray, span: np.ndarray, descending: bool):
+    """Fold one block of terms decay_k * a_k into each row's running best.
 
-    a holds the a_k of one dataset, or one row of them per dataset of a
-    block; every row starts from best, and span is a float or a column of
-    one span per row. a may be shorter than decays: the a_k past its end are
-    0.0. A row's scan stops at the first k whose decay * span is at most the
-    best of the terms before k. An a_k left at 0.0 must be one whose term
-    cannot beat the best before its k, so the running best stays exact.
-    Returns the best up to the stop (or the block's end) and whether the
-    scan stopped: a float and a bool, or a column of each.
+    a holds one row of a_k per dataset, for the k of the block's decays;
+    row i starts from best[i] and has span span[i]. A row's scan stops at the
+    first k whose decay * span is at most the best of the terms before k.
+    An a_k left at 0.0 must be one whose term cannot beat the best before
+    its k, so the running best stays exact. Returns a column of each row's
+    best up to its stop (or the block's end) and one of whether it stopped.
+
+    With decays that never increase (descending), a row's stop test, once
+    true, stays true, and no term past the stop beats the best before it
+    (a_k <= span). So the best up to the stop is the best of all the
+    block's terms, and the row stopped when the test holds at the block's
+    last k: the same floats, from fewer numpy calls.
     """
-    K = a.shape[-1]
-    full = np.zeros(a.shape[:-1] + (decays.size + 1,))  # the best, then the terms
-    if best:
-        full[..., 0] = best
-    np.multiply(decays[:K], a, out=full[..., 1 : K + 1])
-    np.maximum.accumulate(full, axis=-1, out=full)
-    stop = decays * span <= full[..., :-1]
-    ends = stop.argmax(axis=-1)
-    if a.ndim == 1:
-        return (float(full[ends]), True) if stop[ends] else (float(full[-1]), False)
+    if descending:
+        terms = decays * a
+        before = np.maximum(best, np.maximum.reduce(terms[:, :-1], axis=1, initial=0.0))
+        return np.maximum(before, terms[:, -1]), decays[-1] * span <= before
+    full = np.empty((len(a), decays.size + 1))  # the best, then the terms
+    full[:, 0] = best
+    np.multiply(decays, a, out=full[:, 1:])
+    np.maximum.accumulate(full, axis=1, out=full)
+    stop = decays * span[:, None] <= full[:, :-1]
+    ends = stop.argmax(axis=1)
     rows = np.arange(len(a))
     stopped = stop[rows, ends]
     return np.where(stopped, full[rows, ends], full[:, -1]), stopped
-
-
-def _smooth_rank(v: np.ndarray, lower: float, upper: float, r: int, beta: float) -> float:
-    """S(D) of x~_r on sorted values v with finite bounds lower and upper."""
-    below, x, above = _around(v, lower, upper, r)
-    if below == x == above:
-        # inside a run of ties every a_k below the first outer gap is 0;
-        # the term there is at least its decay times either one-sided gap
-        start = _first_outer_gap(v, lower, upper, r, x)
-        first = math.exp(-beta * start) * max(_stat(v, lower, upper, r + start + 1) - x,
-                                              x - _stat(v, lower, upper, r - start - 1))
-        return _scan(v, lower, upper, r, beta, start, first, 0.0, start)
-    return _scan(v, lower, upper, r, beta, 0, _rung(x, above, below), 0.0, 0)
-
-
-def _scan(v: np.ndarray, lower: float, upper: float, r: int, beta: float, start: int,
-          first: float, best: float, k0: int) -> float:
-    # one row's scan from k0 on, given the exact running best of the terms
-    # below k0, the scan's start and its first term
-    n = v.size
-    span = upper - lower
-    cap = n - r + 2
-    by_pairs = True
-    while k0 <= n:
-        k1 = _block_end(k0, start, max(best, first), span, beta, n + 1)
-        d = _decays(beta, k0, k1)
-        w = _order_stats(v, lower, upper, r - k1, 2 * k1 + 1)  # x~_{r-k1} .. x~_{r+k1}
-        if k1 - k0 <= _DENSE_K and (k1 - k0) * (k1 + 1) <= _DENSE_GAPS:  # every a_k
-            a = _lag_maxima(w, k1, np.arange(k0, k1), cap)
-        else:
-            # Exact skip: no gap of a_k exceeds the outer gap x~_{r+k+1} -
-            # x~_{r-k-1}, and a_k is at least either one-sided gap x~_{r+k+1} -
-            # x~_r or x~_r - x~_{r-k-1}; so a k whose decay * outer gap is at
-            # most the running best of decay * one-sided gap cannot beat the
-            # best before it.
-            right = w[k1 + k0 + 1 :] - w[k1]
-            left = w[k1] - w[k1 - k0 - 1 :: -1]
-            outer = w[k1 + k0 + 1 :] - w[k1 - k0 - 1 :: -1]
-            floor = np.maximum.accumulate(np.concatenate(([best], d * np.maximum(left, right))))
-            c = (d * outer > floor[:-1]).nonzero()[0]
-            gaps = int(np.minimum(c + (k0 + 2), cap).sum()) if c.size > 64 else 0
-            if by_pairs and gaps > _PAIRS_SWITCH * k1.bit_length() * (k1 + 2048):
-                # the survivors' lag maxima would cost more than the pair search
-                s = _smooth_by_pairs(v, lower, upper, r, beta, best, k1)
-                if s is not None:
-                    return s
-                by_pairs = False
-            a = np.zeros(k1 - k0)
-            if c.size:
-                a[c] = _lag_maxima(w, k1, c + k0, cap)
-        best, stopped = _fold(best, a, d, span)
-        if stopped:
-            break
-        k0 = k1
-    return best
 
 
 def _first_outer_gap(v: np.ndarray, lower: float, upper: float, r: int, x: float) -> int:
@@ -459,22 +380,25 @@ def _first_outer_gap(v: np.ndarray, lower: float, upper: float, r: int, x: float
 
 def _lag_maxima(W: np.ndarray, h: int, ks: np.ndarray, cap: int) -> np.ndarray:
     # a_k = max over t = 0..k+1 of x~_{r+t} - x~_{r+t-k-1}, for each k in the
-    # ascending ks, read from W: one dataset's window x~_{r-h} .. x~_{r+h},
-    # or a stack of them, one row per dataset of a block, which gives one row
-    # of a_k per dataset. Past t = cap - 1 = n - r + 1 every gap is max(Dom) -
-    # x~_{r+t-k-1}, at most the gap at t = cap - 1 because float subtraction
-    # is monotone, so the gaps need at most cap values of t. They form one
-    # tensor with t on the outer axis, reduced by max along it. Gap (t, k) is
-    # one of a_k exactly when its lower statistic x~_{r+t-k-1} is at or below
-    # x~_r; the gaps above are not masked but read +inf as their lower
-    # statistic, so they are -inf and never the max (every window value is
-    # finite). A block's caller keeps its gap tensor within _GATHER_LIMIT
-    # entries; one dataset's larger tensor is computed in halves of ks.
+    # ascending ks, read from W: a stack of windows x~_{r-h} .. x~_{r+h}, one
+    # row per dataset, which gives one row of a_k per dataset. Past
+    # t = cap - 1 = n - r + 1 every gap is max(Dom) - x~_{r+t-k-1}, at most
+    # the gap at t = cap - 1 because float subtraction is monotone, so the
+    # gaps need at most cap values of t. They form one tensor with t on the
+    # outer axis, reduced by max along it. Gap (t, k) is one of a_k exactly
+    # when its lower statistic x~_{r+t-k-1} is at or below x~_r; the gaps
+    # above are not masked but read +inf as their lower statistic, so they
+    # are -inf and never the max (every window value is finite). A tensor of
+    # more than _GATHER_LIMIT entries is computed in halves of the rows, and
+    # one row's in halves of ks.
     k0, k_last = int(ks[0]), int(ks[-1])
     width = min(k_last + 2, cap)
-    if W.ndim == 1 and ks.size > 1 and ks.size * width > _GATHER_LIMIT:
+    if len(W) * ks.size * width > _GATHER_LIMIT and len(W) * ks.size > 1:
+        if len(W) > 1:
+            half = len(W) // 2
+            return np.concatenate((_lag_maxima(W[:half], h, ks, cap), _lag_maxima(W[half:], h, ks, cap)))
         half = ks.size // 2
-        return np.concatenate((_lag_maxima(W, h, ks[:half], cap), _lag_maxima(W, h, ks[half:], cap)))
+        return np.concatenate((_lag_maxima(W, h, ks[:half], cap), _lag_maxima(W, h, ks[half:], cap)), axis=1)
     upper = W.T[h : h + width, ..., None]  # [t, ..., 0] is x~_{r+t}
     if k0 + 2 < width:  # some t <= width - 1 exceeds k + 1
         L = np.array(W)  # a C-contiguous copy, the buffer of the view below

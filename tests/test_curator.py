@@ -37,6 +37,7 @@ from privcurator import curator, sensitivity
 from privcurator.dataset import SYNTH_DISTRIBUTIONS, synthesize_block
 from privcurator.errors import CuratorError
 from privcurator.noise import AdmissibleNoiseParams, LaplaceParams, sample_admissible, sample_laplace
+from privcurator.queries import _rank
 
 B01 = DomainBounds(0.0, 1.0)
 
@@ -281,13 +282,13 @@ def test_memoized_calibration_releases_what_a_fresh_dataset_releases():
 
 def test_smooth_sensitivity_is_computed_once_per_beta(monkeypatch):
     calls = []
-    smooth_rank = sensitivity._smooth_rank
+    smooth = curator.smooth_sensitivity
 
-    def counting(v, lower, upper, r, beta):
+    def counting(d, q, beta):
         calls.append(beta)
-        return smooth_rank(v, lower, upper, r, beta)
+        return smooth(d, q, beta)
 
-    monkeypatch.setattr(sensitivity, "_smooth_rank", counting)
+    monkeypatch.setattr(curator, "smooth_sensitivity", counting)
     d = _d([0.1, 0.2, 0.4, 0.5, 0.7, 0.8, 0.9])
     ledger = _free_ledger()
     # eps/gamma = 0.25 three times, then 0.5
@@ -345,16 +346,12 @@ BLOCK_CONFIGS = ([MechanismConfig("idp_local", e) for e in (0.5, 1.0)]
                  + [MechanismConfig("dp_smooth", 2e-3, gamma=2.0), MechanismConfig("dp_smooth", 3e-4, gamma=3.0)])
 
 
-def test_calibrate_block_equals_one_calibrate_per_row(monkeypatch):
-    scans = []
-    scan = sensitivity._scan
-
-    def recording(v, lower, upper, r, beta, start, first, best, k0):
-        scans.append((start, k0))
-        return scan(v, lower, upper, r, beta, start, first, best, k0)
-
-    monkeypatch.setattr(sensitivity, "_scan", recording)
-    exact, block_scans = 0, set()
+def test_calibrate_block_equals_one_calibrate_per_row():
+    # a row's scan stops at some k with decay_k * span <= S(D), so S(D)
+    # below decay_k * span at k = 512, the latest end of a first block from
+    # k = 0, puts the stop past that block
+    first_block = sensitivity._FIRST_BLOCK * sensitivity._MAX_GROWTH
+    exact = tied = long = 0
     rng = np.random.default_rng(12)
     for n in (1, 3, 9, 99, 999):
         blocks = [synthesize_block(dist, n, rng, 7) for dist in SYNTH_DISTRIBUTIONS]
@@ -370,19 +367,20 @@ def test_calibrate_block_equals_one_calibrate_per_row(monkeypatch):
                         with pytest.raises(type(exc), match=re.escape(str(exc))):
                             curator.calibrate_block(block, lower, upper, q, cfg)
                         continue
-                    scans.clear()
                     cal = curator.calibrate_block(block, lower, upper, q, cfg)
-                    block_scans.update(scans)
                     assert [_row_calibration(cal, i) for i in range(len(block))] == loop, (n, q, cfg)
                     assert all(type(c.value) is float for c in loop)
                     exact += sum(c.family == "exact" for c in loop)
                     assert curator.release(cal, RandomSource(n)) == \
                         _released_rows(loop, RandomSource(n)), (n, q, cfg)
-    # exact rows were released, and block rows scanned on past the lockstep
-    # block as well as alone from the start
-    assert exact > 0 and (0, 0) in block_scans
-    assert any(k0 > start == 0 for start, k0 in block_scans)
-    assert any(k0 == start > 0 for start, k0 in block_scans)  # rows inside a run of ties
+                    if cfg.regime == "dp_smooth":
+                        r = _rank(q, n)
+                        beta = cfg.epsilon / cfg.gamma
+                        tied += sum(1 < r < n and row[r - 2] == row[r - 1] == row[r] for row in block)
+                        long += int((cal.sensitivity_used < math.exp(-beta * first_block) * (upper - lower)).sum())
+    # exact rows were released, and the smooth scan ran rows inside a run
+    # of ties and rows past their first block
+    assert exact > 0 and tied > 0 and long > 0
 
 
 def test_calibrate_block_scans_the_block_once(monkeypatch):
@@ -397,7 +395,7 @@ def test_calibrate_block_scans_the_block_once(monkeypatch):
     block, lower, upper = synthesize_block("uniform01", 99, 13, 5)
     cfg = MechanismConfig("dp_smooth", 1.0, gamma=2.0)
     curator.calibrate_block(block, lower, upper, QuerySpec.median(), cfg)
-    assert windows == [(5,)]  # one lockstep window of all five rows
+    assert windows == [(5,)]  # one window of all five rows, one scan block
     windows.clear()
     curator.calibrate_block(block, lower, upper, QuerySpec.median(), MechanismConfig("idp_local", 1.0))
     assert windows == []  # idp_local reads three columns and scans nothing
@@ -425,6 +423,9 @@ def test_calibrate_block_raises_what_the_loop_raises_first():
         # a tiny epsilon: an infinite noise scale, after an exact row (x~_r in a run of ties)
         (_block([[0.5, 0.5, 0.5]] + rows[1:], [0, 0, 0, 0], [1, 3, 1, 3]), q, MechanismConfig("idp_local", 1e-320)),
         (_block(rows, [0, 0, 0, 0], [1, 3, 1, 3]), q, MechanismConfig("dp_smooth", 1e-320, gamma=3.0)),
+        # a gap x~_r - x~_{r-1} past the largest float: an infinite local
+        # sensitivity, refused without a numpy overflow warning on the way
+        (_block([[-1e308, 1e308, 1e308]], [-1e308], [1e308]), q, MechanismConfig("idp_local", 1.0)),
     ]
     for (block, lower, upper), q, cfg in cases:
         with pytest.raises(CuratorError) as loop:

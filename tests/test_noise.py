@@ -40,6 +40,13 @@ def test_param_validation():
     # numpy's SeedSequence would raise a bare ValueError
     with pytest.raises(PreconditionError, match="seed"):
         RandomSource(-1)
+    # int() would give 2.7 the stream of seed 2 and True that of seed 1
+    for seed in (2.7, 2.0, True, np.True_, "3", None):
+        with pytest.raises(PreconditionError, match="seed must be an integer"):
+            RandomSource(seed)
+    one = RandomSource(7).uniforms(4)
+    for seed in (np.int64(7), np.uint8(7), np.random.SeedSequence(7)):
+        assert np.array_equal(RandomSource(seed).uniforms(4), one)
 
 
 def test_random_source_reproducible_and_open_interval():

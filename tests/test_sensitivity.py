@@ -208,6 +208,11 @@ def _ref_stat(pad, i):
 
 
 def _ref_smooth(d, q, beta):
+    return _ref_scan(d, q, beta)[0]
+
+
+def _ref_scan(d, q, beta):
+    # S(D) and the k at which the loop stopped, n + 1 when it ran out of k
     pad = _ref_padded(d)
     n = d.n
     upper, span = d.bounds.upper, d.bounds.span
@@ -217,7 +222,7 @@ def _ref_smooth(d, q, beta):
     for k in range(n + 1):
         decay = math.exp(-beta * k)
         if decay * span <= best:
-            break
+            return best, k
         if q.kind == "median":
             t = np.arange(k + 2)
             hi = np.clip(M + t, 0, n + 1)
@@ -230,7 +235,18 @@ def _ref_smooth(d, q, beta):
             if k >= 1:
                 a_k = max(a_k, upper - _ref_stat(pad, n - k))
         best = max(best, decay * a_k)
-    return best
+    return best, n + 1
+
+
+def _inside_ties(d, q):
+    # whether x~_r sits inside a run of ties: the scan starts past k = 0
+    pad = _ref_padded(d)
+    r = {"median": (d.n + 1) // 2, "maximum": d.n}.get(q.kind, d.n - 1)
+    return _ref_stat(pad, r - 1) == _ref_stat(pad, r) == _ref_stat(pad, r + 1)
+
+
+# every scan's first block ends at most this far past its start
+FIRST_BLOCK_MOST = sensitivity._FIRST_BLOCK * sensitivity._MAX_GROWTH
 
 
 def _ref_group(d, q, g):
@@ -311,11 +327,10 @@ def _as_block(ds):
 
 
 def _mixed_stack(n, rng):
-    # datasets of one size that the block scan treats differently: x~_r
-    # between distinct values (the lockstep block) or inside a run of ties,
-    # all tied, piled at both edges, and clustered so tightly that the first
-    # block is too long for the lockstep and the stop lies far beyond it;
-    # each shape under three different bounds
+    # datasets of one size whose scans take different courses: x~_r
+    # between distinct values or inside a run of ties, all tied, piled at
+    # both edges, and clustered so tightly that the first block is long and
+    # the stop lies far beyond it; each shape under three different bounds
     out = []
     for lo, hi in ((-1.0, 3.0), (0.0, 1.0), (-50.0, 1e-3)):
         b = DomainBounds(lo, hi)
@@ -331,18 +346,11 @@ def _mixed_stack(n, rng):
     return out
 
 
-def test_stacked_smooth_sensitivities_equal_the_reference_row_by_row(monkeypatch):
-    alone = []
-    scan = sensitivity._scan
-
-    def recording(v, lower, upper, r, beta, start, first, best, k0):
-        alone.append((start, k0))  # where a row's scan starts, and where it goes on alone
-        return scan(v, lower, upper, r, beta, start, first, best, k0)
-
-    monkeypatch.setattr(sensitivity, "_scan", recording)
+def test_stacked_smooth_sensitivities_equal_the_reference_row_by_row():
     rng = np.random.default_rng(2024)
     betas = np.concatenate(([1e-4, 3.0], 10.0 ** rng.uniform(-4.0, math.log10(3.0), 4)))
     order_qs = (QuerySpec.median(), QuerySpec.maximum(), QuerySpec.second_maximum())
+    tied = long = 0
     for n in (1, 3, 9, 99, 999):
         ds = _mixed_stack(n, rng)
         block = _as_block(ds)
@@ -351,10 +359,25 @@ def test_stacked_smooth_sensitivities_equal_the_reference_row_by_row(monkeypatch
                 continue
             for beta in betas:
                 got = sensitivity.smooth_sensitivity_block(*block, q, beta)
-                assert got.tolist() == [_ref_smooth(d, q, beta) for d in ds], (n, q, beta)
-    # besides the lockstep rows, rows with a long first block and rows inside
-    # a run of ties scanned alone from their start
-    assert (0, 0) in alone and any(0 < start == k0 for start, k0 in alone)
+                want = [_ref_scan(d, q, beta) for d in ds]
+                assert got.tolist() == [s for s, _ in want], (n, q, beta)
+                tied += sum(n > 1 and _inside_ties(d, q) for d in ds)
+                long += sum(k > FIRST_BLOCK_MOST for _, k in want)
+    # rows that start inside a run of ties, and rows whose stop lies past
+    # any first block
+    assert tied > 0 and long > 0
+    # the small-beta shapes of the error grid: ten spread rows, mixed with
+    # rows inside a run of ties and an unbounded row
+    q = QuerySpec.median()
+    for n in (99, 999):
+        ds = [Dataset(rng.uniform(0.0, 1.0, n), B01) for _ in range(10)]
+        ds += [Dataset(np.round(rng.random(n), 1), B01), Dataset(np.full(n, 0.3), B01),
+               Dataset(rng.uniform(0.0, 1.0, n), DomainBounds(-math.inf, 1.0))]
+        ds = [ds[i] for i in rng.permutation(len(ds))]
+        assert sum(_inside_ties(d, q) for d in ds) >= 2
+        for beta in (1 / 20, 1 / 40, 1 / 100):
+            want = [_ref_smooth(d, q, beta) if d.bounds.is_bounded else math.inf for d in ds]
+            assert sensitivity.smooth_sensitivity_block(*_as_block(ds), q, beta).tolist() == want, (n, beta)
 
 
 def test_stacks_larger_than_one_gap_tensor_run_in_chunks(monkeypatch):
@@ -362,27 +385,32 @@ def test_stacks_larger_than_one_gap_tensor_run_in_chunks(monkeypatch):
     ds = [Dataset(rng.uniform(0.0, 1.0, 99), B01) for _ in range(400)]
     block = _as_block(ds)
     q, beta = QuerySpec.median(), 0.2
-    alone = [smooth_sensitivity(d, q, beta) for d in ds]
-    tensors, rows = [], []
+    alone = [_ref_smooth(d, q, beta) for d in ds]
+    calls = []
     lag_maxima = sensitivity._lag_maxima
 
     def recording(W, h, ks, cap):
-        if W.ndim == 2:
-            tensors.append(W.shape[0] * ks.size * min(int(ks[-1]) + 2, cap))
-            rows.append(W.shape[0])
-        return lag_maxima(W, h, ks, cap)
+        # (rows, entries) of each gap tensor computed: a call that splits
+        # its tensor records nothing itself
+        at = len(calls)
+        calls.append(None)
+        out = lag_maxima(W, h, ks, cap)
+        if len(calls) == at + 1:
+            calls[at] = (W.shape[0], W.shape[0] * ks.size * min(int(ks[-1]) + 2, cap))
+        return out
 
     monkeypatch.setattr(sensitivity, "_lag_maxima", recording)
     assert sensitivity.smooth_sensitivity_block(*block, q, beta).tolist() == alone
     # the screened a_k of all 400 rows fit in one gap tensor
-    assert rows == [400] and tensors[0] <= sensitivity._GATHER_LIMIT
-    # smaller limits cut the same block into more chunks of fewer rows
-    for limit, chunks in ((tensors[0] // 3, 3), (500, 50)):
-        tensors.clear()
-        rows.clear()
+    assert calls == [(400, calls[0][1])] and calls[0][1] <= sensitivity._GATHER_LIMIT
+    # smaller limits cut the same block into more tensors of fewer rows
+    for limit, chunks in ((calls[0][1] // 3, 3), (500, 50)):
+        calls.clear()
         monkeypatch.setattr(sensitivity, "_GATHER_LIMIT", limit)
         assert sensitivity.smooth_sensitivity_block(*block, q, beta).tolist() == alone
-        assert len(tensors) > chunks and max(tensors) <= limit and sum(rows) == 400
+        tensors = [c for c in calls if c]
+        assert len(tensors) > chunks and max(t for _, t in tensors) <= limit
+        assert sum(rows for rows, _ in tensors) == 400
 
 
 def test_block_scan_equals_one_scan_per_row_on_the_default_plan(monkeypatch):
@@ -411,12 +439,13 @@ def test_block_scan_equals_one_scan_per_row_on_the_default_plan(monkeypatch):
     assert any(screened) and not all(screened)
 
 
-def _triage_rows(n, rng):
-    # rows of one size for each path of the block scan's triage, with their
-    # bounds: spread values; x~_r at min(Dom) next to a record at max(Dom), so
-    # a_0 is the whole span and the first block is short at any beta; a
+def _shaped_rows(n, rng):
+    # rows of one size whose scans take different courses, with their
+    # bounds: spread values; x~_r at min(Dom) next to a record at max(Dom),
+    # so a_0 is the whole span and the first block is short at any beta; a
     # cluster 1e-90 apart, whose first block at beta = 3 ends in (64, 512];
-    # x~_r inside a run of ties; and the same spread values unbounded below
+    # x~_r inside a run of ties; the same spread values unbounded below; and
+    # values rounded to one decimal
     r = (n + 1) // 2
     spread = rng.uniform(0.0, 1.0, n)
     edges = np.array([0.0] * r + [1.0] * (n - r))
@@ -428,19 +457,12 @@ def _triage_rows(n, rng):
     return [Dataset(v, DomainBounds(lo, hi)) for v, lo, hi in rows]
 
 
-def test_block_scan_equals_one_scan_per_row_on_every_triage_path(monkeypatch):
-    scans = []
-    scan = sensitivity._scan
-
-    def recording(v, lower, upper, r, beta, start, first, best, k0):
-        scans.append((start, k0))
-        return scan(v, lower, upper, r, beta, start, first, best, k0)
-
-    monkeypatch.setattr(sensitivity, "_scan", recording)
+def test_block_scan_equals_one_scan_per_row_on_every_row_shape():
     rng = np.random.default_rng(25)
     order_qs = (QuerySpec.median(), QuerySpec.maximum(), QuerySpec.second_maximum())
+    tied = long = 0
     for n in (9, 99, 999):
-        ds = _triage_rows(n, rng)
+        ds = _shaped_rows(n, rng)
         # the cluster's first block ends in (64, 512] at beta = 3
         assert 64 < math.log(1.0 / 1e-90) / 3.0 + 2.0 <= 512
         for perm in (np.arange(len(ds)), rng.permutation(len(ds))):
@@ -449,13 +471,12 @@ def test_block_scan_equals_one_scan_per_row_on_every_triage_path(monkeypatch):
                 for beta in (1e-4, 3.0):
                     want = [smooth_sensitivity(ds[i], q, beta) for i in perm]
                     assert sensitivity.smooth_sensitivity_block(*block, q, beta).tolist() == want, (n, q, beta)
-                    assert want == [_ref_smooth(ds[i], q, beta) if ds[i].bounds.is_bounded else math.inf
-                                    for i in perm]
-    # rows scanned alone from k = 0 (a long first block) and from inside a
-    # run of ties, and lockstep rows that went on past the block's end (at
-    # n = 9 every first block ends by k = n + 1, so the cluster runs in lockstep)
-    assert (0, 0) in scans and any(0 < start == k0 for start, k0 in scans)
-    assert any(k0 > start == 0 for start, k0 in scans)
+                    ref = [_ref_scan(ds[i], q, beta) if ds[i].bounds.is_bounded else (math.inf, 0) for i in perm]
+                    assert want == [s for s, _ in ref]
+                    tied += sum(_inside_ties(ds[i], q) for i in perm)
+                    long += sum(k > FIRST_BLOCK_MOST for _, k in ref)
+    # rows that start inside a run of ties, and rows that go on past any first block
+    assert tied > 0 and long > 0
 
 
 def test_block_scan_keeps_the_largest_term_the_screen_finds():
@@ -480,35 +501,36 @@ def test_block_scan_keeps_the_largest_term_the_screen_finds():
             assert all(w > d.values[r] for w, d in zip(want, ds))  # the best term is past k = 0
 
 
-def test_lockstep_decays_are_a_bounded_cache_of_read_only_math_exp_values():
-    decays = sensitivity._lockstep_decays
+def test_first_block_decays_are_a_bounded_cache_of_read_only_math_exp_values():
+    decays = sensitivity._first_decays
     assert 0 < decays.cache_info().maxsize <= 1024
     for beta in (1 / 6, 0.25, 1 / 3, 1e-4, 3.0, 0.1 / 3):
-        for k1 in (1, 2, 10, 64):
-            d, descending = decays(beta, k1)
-            assert d.tolist() == [math.exp(-beta * k) for k in range(k1)], (beta, k1)
+        for k0, k1 in ((0, 1), (0, 2), (0, 10), (0, 64), (0, 512), (40, 552)):
+            d, descending = decays(beta, k0, k1)
+            assert d.tolist() == [math.exp(-beta * k) for k in range(k0, k1)], (beta, k0, k1)
             assert descending == all(x >= y for x, y in zip(d.tolist(), d.tolist()[1:]))
             assert not d.flags.writeable
             with pytest.raises(ValueError):
                 d[0] = 0.5
-            assert decays(beta, k1)[0] is d
+            assert decays(beta, k0, k1)[0] is d
     for i in range(2000):
-        decays(1e-3 * (i + 1), 3)
+        decays(1e-3 * (i + 1), 0, 3)
     assert decays.cache_info().currsize <= decays.cache_info().maxsize
 
 
-def test_lockstep_folds_like_the_scan_when_decays_may_increase(monkeypatch):
-    # the lockstep's shortcut fold needs decays that never increase; flagged
-    # otherwise, its rows take _fold's running best and give the same floats
-    decays = sensitivity._lockstep_decays
-    monkeypatch.setattr(sensitivity, "_lockstep_decays", lambda beta, k1: (decays(beta, k1)[0], False))
+def test_first_blocks_fold_like_later_ones_when_decays_may_increase(monkeypatch):
+    # the fold's shortcut needs decays that never increase; flagged
+    # otherwise, first blocks take the running best, as later blocks do,
+    # and give the same floats
+    decays = sensitivity._first_decays
+    monkeypatch.setattr(sensitivity, "_first_decays", lambda beta, k0, k1: (decays(beta, k0, k1)[0], False))
     rng = np.random.default_rng(41)
     q = QuerySpec.median()
     for n in (9, 99, 999):
         ds = _mixed_stack(n, rng)
         for beta in (1e-4, 1 / 6, 1 / 3, 3.0):
             got = sensitivity.smooth_sensitivity_block(*_as_block(ds), q, beta)
-            assert got.tolist() == [smooth_sensitivity(d, q, beta) for d in ds], (n, beta)
+            assert got.tolist() == [_ref_smooth(d, q, beta) for d in ds], (n, beta)
 
 
 def test_smooth_sensitivities_keep_list_order_across_sizes_and_bounds():
@@ -538,10 +560,10 @@ def test_a_span_past_the_largest_float_smooths_to_inf_without_a_warning():
         assert sensitivity.smooth_sensitivity_block(*block, q, 0.3).tolist() == \
             [math.inf, smooth_sensitivity(_d(values, DomainBounds(0.0, 4.0)), q, 0.3)]
 
-# stop indices on, just before and just after the scans' block edges: a scan
-# whose first term is 0 ends its first block at k = 32 and, while its terms
-# stay 0, grows 16-fold, to k = 512; other blocks end where the best so far
-# says the stop must come, which the beta sweep below moves across every k
+# stop indices on, just before and just after the scans' block edges: a
+# first block ends at most 512 past its start, and a block ends where the
+# floor says the stop must come, which the beta sweep below moves across
+# every k
 EDGE_STOPS = sorted(set(range(1, 70)) | {k + e for k in (512, 1024) for e in (-2, -1, 0, 1, 2)})
 
 
