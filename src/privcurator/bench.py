@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
@@ -28,6 +27,7 @@ from .noise import (
     LaplaceParams,
     RandomSource,
     _integer,
+    _real,
     admissible_pdf,
     laplace_pdf,
     sample_admissible,
@@ -70,7 +70,7 @@ class ExperimentPlan:
     def __post_init__(self) -> None:
         object.__setattr__(self, "distributions", tuple(self.distributions))
         object.__setattr__(self, "sizes", tuple(_integer("size", s) for s in self.sizes))
-        object.__setattr__(self, "epsilons", tuple(_plan_real("epsilon", e) for e in self.epsilons))
+        object.__setattr__(self, "epsilons", tuple(_real("epsilon", e) for e in self.epsilons))
         for dist in self.distributions:
             if dist not in SYNTH_DISTRIBUTIONS:
                 raise PreconditionError(f"unknown distribution {dist!r}")
@@ -86,18 +86,11 @@ class ExperimentPlan:
         object.__setattr__(self, "seed", _integer("seed", self.seed))
         if self.trials < 1:
             raise PreconditionError(f"trials must be >= 1, got {self.trials}")
-        object.__setattr__(self, "gamma", _plan_real("gamma", self.gamma))
+        object.__setattr__(self, "gamma", _real("gamma", self.gamma))
         if not (self.gamma > 1.0 and math.isfinite(self.gamma)):
             raise PreconditionError(f"gamma must be finite and > 1, got {self.gamma}")
         if self.seed < 0:
             raise PreconditionError(f"seed must be non-negative, got {self.seed}")
-
-
-def _plan_real(name: str, value) -> float:
-    """value as a float; a bool or a value that is not a real number is refused."""
-    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
-        raise PreconditionError(f"{name} must be a real number, got {value!r}")
-    return float(value)
 
 
 # ---------------------------------------------------------------------------

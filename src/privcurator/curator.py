@@ -58,6 +58,7 @@ from .noise import (
     RandomSource,
     _check_alpha,
     _check_scale,
+    _real,
     sample_admissible,
     sample_discrete_laplace,
     sample_laplace,
@@ -170,12 +171,14 @@ class BudgetLedger:
     charge is check-then-append under a lock, so concurrent sessions can
     share a ledger; a rejected charge leaves the ledger unchanged. Entries
     given at construction pass the same positive-and-finite check as charges.
+    A budget or an epsilon must be a real number and not a bool.
     """
 
     def __init__(self, total_budget: float, entries=()):
+        total_budget = _real("total budget", total_budget)
         if math.isnan(total_budget) or total_budget < 0:
             raise PreconditionError(f"total budget must be >= 0, got {total_budget}")
-        self.total_budget = float(total_budget)
+        self.total_budget = total_budget
         self._lock = threading.Lock()
         self._entries = _checked_entries(entries)
         self._partials = _add_partials([], (e.epsilon for e in self._entries))
@@ -239,13 +242,14 @@ def _checked_entries(entries) -> list[LedgerEntry]:
     """Entries with a str query and a positive, finite float epsilon.
 
     An entry already of that shape is kept as it is; any other is rebuilt
-    with its fields coerced. A NaN or non-positive epsilon would poison the
-    exact total, so it is refused here, whether charged or loaded.
+    with its fields coerced. A bool or non-real epsilon is refused, and so
+    is a NaN or non-positive one, which would poison the exact total,
+    whether charged or loaded.
     """
     checked = []
     for e in entries:
         if type(e) is not LedgerEntry or type(e.query) is not str or type(e.epsilon) is not float:
-            e = LedgerEntry(str(e.query), float(e.epsilon))
+            e = LedgerEntry(str(e.query), _real("charged epsilon", e.epsilon))
         if not (e.epsilon > 0 and math.isfinite(e.epsilon)):
             raise PreconditionError(f"charged epsilon must be positive, got {e.epsilon}")
         checked.append(e)

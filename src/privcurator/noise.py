@@ -13,6 +13,7 @@ exactly from a ratio of two gamma variates (see sample_admissible).
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -79,6 +80,17 @@ def _integer(name: str, value) -> int:
         return operator.index(value)
     except TypeError:
         raise PreconditionError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _real(name: str, value) -> float:
+    """value as a float; a bool, a value that is not a real number and an int
+    past the float range are refused."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+        raise PreconditionError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise PreconditionError(f"{name} must be a real number in the float range") from None
 
 
 class RandomSource:

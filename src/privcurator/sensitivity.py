@@ -15,13 +15,14 @@ sensitivity is S(D) = max_k exp(-beta k) * a_k with
 a_k = max over t = 0..k+1 of x~_{r+t} - x~_{r+t-k-1}. Up to the stopping
 index K, S(D) costs O(K) math.exp calls for the decays plus numpy work:
 O(K) for max and max2, whose a_k need at most n - r + 2 gaps each, and
-O(K log K) in the worst case for the median, whatever the spacing of the
-data. One scan computes S(D): smooth_sensitivity_block runs it over a
-sorted block, a (T, n) array of the sorted values of T datasets of one size
-with their bounds as two columns, and smooth_sensitivity is the one-row
-block. The scan runs the k in blocks of numpy work shared by the rows still
-running; every row leaves the loop at its own stop, with the float a scalar
-loop over its k gives.
+O(K log K) for the median, as the pair search bounds the work of each of
+the scan's O(log K) blocks, unless many pairs tie within rounding (see
+_pairs_max). One scan computes S(D): smooth_sensitivity_block runs it over
+a sorted block, a (T, n) array of the sorted values of T datasets of one
+size with their bounds as two columns, and smooth_sensitivity is the
+one-row block. The scan runs the k in blocks of numpy work shared by the
+rows still running; every row leaves the loop at its own stop, with the
+float a scalar loop over its k gives.
 
 Counting queries have constant L1 sensitivity min(2, n_bins) under the
 modify-one-record neighbor relation, where a range count has one bin. A
@@ -189,12 +190,16 @@ def smooth_sensitivity_block(block: np.ndarray, lower: np.ndarray, upper: np.nda
       x~_{r+k+1} - x~_r or x~_r - x~_{r-k-1}; so a k whose decay times the
       outer gap is at most the running best of decay times a one-sided gap
       cannot beat the best before it. A row whose survivors would cost more
-      gaps than the pair search hands over to it: Nissim, Raskhodnikova and
-      Smith's divide and conquer over the monotone argmax, made exact in
-      floating point by a rounding tolerance (_smooth_by_pairs). So the
-      worst case stays O(K log K) for the stopping index K. The a_k are
-      maxima over the outer axis of gap tensors of at most _GATHER_LIMIT
-      entries (see _lag_maxima).
+      gaps than the pair search takes it instead (_pairs_max): Nissim,
+      Raskhodnikova and Smith's divide and conquer over the monotone argmax.
+      With i = r - s <= r <= j = r + t, the term of k = s + t - 1 is the
+      largest of (x~_j - x~_i) * decay_k over its pairs, so the best term
+      with k < k1 is the best over the pairs with s + t <= k1; with decays
+      that never increase, the row stops by k1 exactly when decay_k1 * span
+      is at most that best, and no term from its stop to k1 beats it. Once
+      the decays increase (a beta so small that rounding shows), no row is
+      handed over again. The a_k are maxima over the outer axis of gap
+      tensors of at most _GATHER_LIMIT entries (see _lag_maxima).
     - Fold. _fold gives every row its running best and whether it stopped;
       the rows that stopped drop out.
 
@@ -231,7 +236,7 @@ def smooth_sensitivity_block(block: np.ndarray, lower: np.ndarray, upper: np.nda
         firsts, spans, k0 = firsts[live], spans[live], int(starts[live].min(initial=n + 1))
         floor = float((firsts / spans).min(initial=1.0))
     best = np.zeros(live.size)
-    refused = set()  # rows whose decays let the pair search give no result
+    D, monotone = [1.0], True  # the pair search's decays from k = 0, and whether they never increase
     cap = n - r + 2  # the most gaps any a_k needs (see _lag_maxima)
     first, least, most = True, k0 + 1, k0 + _FIRST_BLOCK * _MAX_GROWTH
     while live.size:
@@ -242,7 +247,7 @@ def smooth_sensitivity_block(block: np.ndarray, lower: np.ndarray, upper: np.nda
         W = _order_stats(block, lower[:, None], upper[:, None], r - k1, 2 * k1 + 1)  # x~_{r-k1} .. x~_{r+k1}
         if live.size < len(block):
             W = W[live]
-        handed = []
+        handed = []  # rows whose survivors' lag maxima would cost more than the pair search
         if live.size * (k1 - k0) * min(k1 + 1, cap) <= _DENSE_GAPS:
             a = _lag_maxima(W, k1, np.arange(k0, k1), cap)
         else:
@@ -255,25 +260,24 @@ def smooth_sensitivity_block(block: np.ndarray, lower: np.ndarray, upper: np.nda
             stays = d * (up - down) > floors[:, :-1]
             # a row's survivors need at most (k1 - k0) * min(k1 + 1, cap) gaps
             switch = _PAIRS_SWITCH * k1.bit_length() * (k1 + 2048)
-            many = (stays.sum(axis=1) > 64).nonzero()[0].tolist() if (k1 - k0) * min(k1 + 1, cap) > switch else []
-            for j in many:
-                i = int(live[j])
-                gaps = int(np.minimum(stays[j].nonzero()[0] + (k0 + 2), cap).sum())
-                if i not in refused and gaps > switch:
-                    # the survivors' lag maxima would cost more than the pair search
-                    s = _smooth_by_pairs(block[i], float(lower[i]), float(upper[i]), r, beta, float(best[j]), k1)
-                    if s is None:
-                        refused.add(i)
-                    else:
-                        handed.append((j, s))
-                        stays[j] = False
+            if monotone and (k1 - k0) * min(k1 + 1, cap) > switch:
+                many = (stays.sum(axis=1) > 64).nonzero()[0].tolist()
+                handed = [j for j in many if np.minimum(stays[j].nonzero()[0] + (k0 + 2), cap).sum() > switch]
+            if handed:
+                size = len(D)  # at most k0 + 1: D is extended to k1 + 1 at most once a block
+                D = np.concatenate((D, _decays(beta, size, max(size, k0)), d[max(size - k0, 0) :],
+                                    [math.exp(-beta * k1)]))
+                monotone = not (D[size:] > D[size - 1 : -1]).any()
+                handed = handed if monotone else []
+                stays[handed] = False
             c = stays.any(axis=0).nonzero()[0]  # the union of the rows' survivors
             a = np.zeros((live.size, k1 - k0))
             if c.size:
                 a[:, c] = _lag_maxima(W, k1, c + k0, cap)
         best, stopped = _fold(best, a, d, spans, descending)
-        for j, s in handed:
-            best[j], stopped[j] = s, True
+        for j in handed:  # the fold's best for j is the best of some of its terms
+            best[j] = _pairs_max(W[j], D, k1, float(best[j]), beta, float(spans[j]))
+            stopped[j] = D[k1] * spans[j] <= best[j]
         if k1 > n or stopped.all():  # past the last k every row has its result
             out[live] = best
             break
@@ -306,8 +310,8 @@ _DENSE_GAPS = 1 << 14
 # entries, so neither a long scan nor a large block holds a quadratic array.
 _GATHER_LIMIT = 1 << 18
 
-# The pair search costs about log2(C) levels of numpy calls over
-# O(C) pairs each; a row hands over to it once its survivors of one block
+# The pair search up to k1 costs about log2(k1) levels of numpy calls over
+# O(k1) pairs each; a row's block goes to it when the block's survivors
 # need more gaps than a few times that.
 _PAIRS_SWITCH = 4
 
@@ -413,35 +417,6 @@ def _lag_maxima(W: np.ndarray, h: int, ks: np.ndarray, cap: int) -> np.ndarray:
         lower = lower[..., k_last - ks[::-1]]
     # in C order, t outermost, so that the reduce runs over whole (..., K) slices
     return np.maximum.reduce(np.subtract(upper, lower, order="C"), axis=0)[..., ::-1]
-
-
-def _smooth_by_pairs(v: np.ndarray, lower: float, upper: float, r: int, beta: float, best: float,
-                     C: int):
-    """S(D) by Nissim, Raskhodnikova and Smith's divide and conquer.
-
-    best is the scan's exact running best when it handed over, at some k <= C,
-    with no stop before. With i = r - s <= r <= j = r + t, the term of
-    distance k = s + t - 1 is the largest of (x~_j - x~_i) * exp(-beta k) over
-    its pairs, so the best of the terms k < C is the best over the pairs with
-    1 <= s + t <= C. When the decays do not increase in k, the scan's stop
-    index K is at most C exactly when decay_C * span <= that best, and then the
-    terms in K..C-1 cannot beat it; otherwise C grows. Returns None when the
-    math.exp decays are not monotone (a beta so small that rounding shows),
-    and the caller's scan goes on.
-    """
-    n = v.size
-    span = upper - lower
-    d = np.zeros(0)
-    while True:
-        d = np.concatenate((d, _decays(beta, d.size, C + 1)))
-        if np.any(d[1:] > d[:-1]):
-            return None
-        best = _pairs_max(_order_stats(v, lower, upper, r - C, 2 * C + 1), d[: C + 1], C, best, beta, span)
-        if C == n + 1 or d[C] * span <= best:
-            return best
-        # decay_k * span falls to best near this k, so the stop comes no later
-        guess = math.log(span / best) / beta + 2.0 if best > 0.0 else math.inf
-        C = min(max(int(min(guess, _MAX_GROWTH * C)), C + C // 4 + 1), n + 1)
 
 
 def _pairs_max(w: np.ndarray, d: np.ndarray, C: int, best: float, beta: float, span: float) -> float:

@@ -839,6 +839,20 @@ def test_ledger_entries_are_checked_at_construction(eps):
         BudgetLedger(math.inf, [LedgerEntry("q", 0.5), LedgerEntry("q", eps)])
 
 
+@pytest.mark.parametrize("bad", [True, False, np.True_, "1", None, b"1", 1j, [1.0], 10**400])
+def test_ledger_refuses_a_bool_or_non_real_budget_or_epsilon(bad):
+    # a bool is no budget and no charge, though Python counts it as 1 or 0;
+    # nor is an int that no float can hold
+    with pytest.raises(PreconditionError, match="real number"):
+        BudgetLedger(bad)
+    ledger = BudgetLedger(2.0)
+    with pytest.raises(PreconditionError, match="real number"):
+        ledger.charge(bad, "q")
+    with pytest.raises(PreconditionError, match="real number"):
+        BudgetLedger(2.0, [LedgerEntry("q", 0.5), LedgerEntry("q", bad)])
+    assert ledger.entries == () and ledger.spent() == 0.0
+
+
 def test_ledger_keeps_well_typed_entries_and_coerces_the_rest():
     kept = LedgerEntry("median", 0.5)
     ledger = BudgetLedger(2.0, [kept, LedgerEntry(7, np.float64(0.25)), LedgerEntry("max", 1)])

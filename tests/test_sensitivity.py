@@ -2,6 +2,7 @@
 
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -346,10 +347,40 @@ def _mixed_stack(n, rng):
     return out
 
 
-def test_stacked_smooth_sensitivities_equal_the_reference_row_by_row():
+def _record_hand_offs(monkeypatch):
+    # every pair search the scan runs, as (block, C, window, best, result,
+    # whether the row goes on): block counts the scan's blocks, one _fold each
+    calls, blocks = [], [0]
+    fold, pairs_max = sensitivity._fold, sensitivity._pairs_max
+
+    def counting(*args):
+        blocks[0] += 1
+        return fold(*args)
+
+    def recording(w, d, C, best, beta, span):
+        s = pairs_max(w, d, C, best, beta, span)
+        assert d.size == C + 1 and w.size == 2 * C + 1
+        calls.append((blocks[0], C, np.array(w), best, s, d[C] * span > s))
+        return s
+
+    monkeypatch.setattr(sensitivity, "_fold", counting)
+    monkeypatch.setattr(sensitivity, "_pairs_max", recording)
+    return calls
+
+
+def _handed_on(calls):
+    # a row hands over in two consecutive blocks when a hand-off that went on
+    # (no stop at its C) is followed, in the next block, by one with the same
+    # window at its centre, starting from at least the first one's result
+    return any(b == a + 1 and C0 < C and best >= s0 and np.array_equal(w[C - C0 : C + C0 + 1], w0)
+               for a, C0, w0, _, s0, on in calls if on for b, C, w, best, _, _ in calls)
+
+
+def test_stacked_smooth_sensitivities_equal_the_reference_row_by_row(monkeypatch):
     rng = np.random.default_rng(2024)
     betas = np.concatenate(([1e-4, 3.0], 10.0 ** rng.uniform(-4.0, math.log10(3.0), 4)))
     order_qs = (QuerySpec.median(), QuerySpec.maximum(), QuerySpec.second_maximum())
+    calls = _record_hand_offs(monkeypatch)
     tied = long = 0
     for n in (1, 3, 9, 99, 999):
         ds = _mixed_stack(n, rng)
@@ -366,6 +397,9 @@ def test_stacked_smooth_sensitivities_equal_the_reference_row_by_row():
     # rows that start inside a run of ties, and rows whose stop lies past
     # any first block
     assert tied > 0 and long > 0
+    # rows handed to the pair search: some go on scanning after it, and some
+    # are handed over again in the next block
+    assert any(on for *_, on in calls) and _handed_on(calls)
     # the small-beta shapes of the error grid: ten spread rows, mixed with
     # rows inside a run of ties and an unbounded row
     q = QuerySpec.median()
@@ -378,6 +412,51 @@ def test_stacked_smooth_sensitivities_equal_the_reference_row_by_row():
         for beta in (1 / 20, 1 / 40, 1 / 100):
             want = [_ref_smooth(d, q, beta) if d.bounds.is_bounded else math.inf for d in ds]
             assert sensitivity.smooth_sensitivity_block(*_as_block(ds), q, beta).tolist() == want, (n, beta)
+
+
+def test_decays_that_increase_keep_rows_out_of_the_pair_search(monkeypatch):
+    # the pair search's stop needs decays that never increase; with math.exp
+    # patched so that they do, for the scan and the reference alike, no row
+    # is handed over and every row still gets the reference's float
+    rng = np.random.default_rng(2024)
+    ds = _mixed_stack(999, rng)
+    q, beta = QuerySpec.median(), 1e-3
+    calls = _record_hand_offs(monkeypatch)
+    assert sensitivity.smooth_sensitivity_block(*_as_block(ds), q, beta).tolist() == \
+        [_ref_smooth(d, q, beta) for d in ds]
+    assert calls  # unpatched, rows of this block are handed over
+    calls.clear()
+    exp = math.exp
+
+    def bumped(x):  # half the decays, by the last bit of their argument, 1.5 times as large
+        return exp(x) * 1.5 if np.float64(x).view(np.int64) & 1 else exp(x)
+
+    sensitivity._first_decays.cache_clear()  # first-block decays of the real math.exp
+    monkeypatch.setattr(math, "exp", bumped)
+    try:
+        assert any(sensitivity._decays(beta, 0, 1000)[1:] > sensitivity._decays(beta, 0, 1000)[:-1])
+        assert sensitivity.smooth_sensitivity_block(*_as_block(ds), q, beta).tolist() == \
+            [_ref_smooth(d, q, beta) for d in ds]
+    finally:
+        sensitivity._first_decays.cache_clear()  # no patched decay outlives the test
+    assert not calls
+
+
+def test_modal_median_scan_stays_small():
+    # half the records at the median value, half uniform: a run of ties that
+    # the skip test prunes block by block; a pair search grown through the
+    # run instead gathers arrays quadratic in its length
+    n = 50_001
+    d = Dataset(np.concatenate((np.full(n - n // 2, 0.5), np.random.default_rng(0).random(n // 2))), B01)
+    q, beta = QuerySpec.median(), 0.01
+    tracemalloc.start()
+    try:
+        got = smooth_sensitivity(d, q, beta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == _ref_smooth(d, q, beta) == 1.0527968474150155e-57
+    assert peak < 16 << 20, f"tracemalloc peak {peak / 2**20:.1f} MiB"
 
 
 def test_stacks_larger_than_one_gap_tensor_run_in_chunks(monkeypatch):
